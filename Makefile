@@ -1,6 +1,6 @@
 # Convenience targets for the HORSE reproduction.
 
-.PHONY: all build test test-stress verify bench bench-json bench-micro bench-scale bench-shard bench-check bench-storm bench-policy bench-chain bench-router perf examples clean doc
+.PHONY: all build test test-stress verify bench bench-json bench-micro bench-scale bench-shard bench-check bench-storm bench-policy bench-chain perfbench-check perf examples clean doc
 
 all: verify
 
@@ -24,9 +24,9 @@ test-stress:
 # regress; alloc:*, flat:* and storm:path:* must hold 2x; scale:*
 # must hold 1.5x on multi-core hosts; storm pipeline must not regress;
 # policy:* pull tails must not lose to push under blackouts; chain:*
-# fused tails must not lose to unfused at length >= 3; router:* must
-# hold 1.5x at >= 4 routers on multi-core hosts)
-verify: build test test-stress bench-json bench-micro bench-scale bench-shard bench-storm bench-policy bench-chain bench-router bench-check
+# fused tails must not lose to unfused at length >= 3; the simulator-
+# cost benchmark must pass its own self-test)
+verify: build test test-stress bench-json bench-micro bench-scale bench-shard bench-storm bench-policy bench-chain perfbench-check bench-check
 
 bench:
 	dune exec bench/main.exe
@@ -77,22 +77,18 @@ bench-shard:
 bench-policy:
 	OCAMLRUNPARAM=$(BENCH_RUNPARAM) dune exec --profile release bench/main.exe -- policy --shards $(SHARDS) --json BENCH_policy.json
 
-# the partitioned-router-plane benchmark: bit-identity of every router
-# count across shards, seeds and schedulers at 20k triggers, then the
-# 100k bursty storm over 32 functions at R in {1,2,4,8}, run-phase
-# wall clock per point recorded into BENCH_router.json (router:*
-# entries at R >= 4 gated >= 1.5x on multi-core hosts, >= 0.5
-# single-core floor, by bench-check)
-ROUTERS ?= 4
-bench-router:
-	OCAMLRUNPARAM=$(BENCH_RUNPARAM) dune exec --profile release bench/main.exe -- router --shards $(SHARDS) --routers $(ROUTERS) --json BENCH_router.json
-
 # the workflow-chain fusion gate: chain length x fusion on/off x
 # HORSE/Vanilla with workflow end-to-end tails, bit-identity across
 # shards and seeds, fused-over-unfused p99/p999 ratios at length >= 3
 # recorded into BENCH_chain.json (gated >= 1.0 by bench-check)
 bench-chain:
 	OCAMLRUNPARAM=$(BENCH_RUNPARAM) dune exec --profile release bench/main.exe -- chain --shards $(SHARDS) --json BENCH_chain.json
+
+# the simulator-cost benchmark's self-test: every workload runs and
+# passes its output checks, traced and untraced, and model.digest is
+# identical traced vs untraced and across shard counts
+perfbench-check:
+	python3 perfbench/test_bench.py
 
 # gate on the recorded artifacts: sweeps at jobs >= 4 must not regress
 # (speedup >= 1.0 on multi-core hosts; >= 0.75 overhead floor on a
@@ -102,7 +98,7 @@ bench-chain:
 # walking baseline; scale:* entries must show the sharded engine >=
 # 1.5x over sequential (>= 0.5 overhead floor on single-core hosts)
 bench-check:
-	dune exec bench/bench_check.exe -- BENCH_summary.json $(wildcard BENCH_micro.json) $(wildcard BENCH_scale.json) $(wildcard BENCH_shard.json) $(wildcard BENCH_storm.json) $(wildcard BENCH_policy.json) $(wildcard BENCH_chain.json) $(wildcard BENCH_router.json)
+	dune exec bench/bench_check.exe -- BENCH_summary.json $(wildcard BENCH_micro.json) $(wildcard BENCH_scale.json) $(wildcard BENCH_shard.json) $(wildcard BENCH_storm.json) $(wildcard BENCH_policy.json) $(wildcard BENCH_chain.json)
 
 # the resume-storm macro-benchmark: 1000 paused uLL sandboxes on one
 # ull_runqueue, churn at 0/100/1000 subscribers, then resume them all

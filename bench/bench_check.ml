@@ -25,11 +25,6 @@
      real cores, or the epoch synchronisation is eating the
      parallelism.  Single-core floor: 0.5 — epochs plus cross-shard
      mailboxes may cost at most 2x when there is nothing to win.
-   - every [router:*] entry (partitioned-control-plane runs from
-     `main.exe router`) recorded at routers >= 4 must show
-     speedup >= 1.5 — splitting the router plane must beat the
-     single-router serial bottleneck by half again on real cores.
-     Single-core floor: 0.5, like [scale:*].
    - every [alloc:*] entry (words-per-operation pairs from micro.exe)
      must show >= 2.0 — the flat structures must allocate at most
      half the words per operation of their boxed baselines.
@@ -163,15 +158,6 @@ let check_entry ~file ~producer_cores entry =
     (* the "jobs" of a scale entry records the --shards it ran at *)
     if jobs >= 4 then verdict scale_floor
     else not_gated ~floor:(scale_floor, "at shards >= 4") ()
-  else if starts_with ~prefix:"router:" name then
-    (* the "jobs" of a router entry records the router count; the
-       partitioned control plane must beat the single-router plane by
-       half again at >= 4 routers on real cores (R=1's router strand
-       serializes every trigger; R strands split it).  Single-core
-       floor: 0.5 — extra strands and spill-ring channels may cost at
-       most 2x when there is no parallelism to win. *)
-    if jobs >= 4 then verdict scale_floor
-    else not_gated ~floor:(scale_floor, "at routers >= 4") ()
   else if starts_with ~prefix:"policy:" name then
     (* push tail over pull tail under blackouts: pull must not lose *)
     verdict (if multi_core then 1.0 else 0.75)

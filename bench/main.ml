@@ -16,10 +16,6 @@
                                  cluster runs of [scale] (default
                                  max(4, recommended_domain_count - 1);
                                  rows are bit-identical for any S)
-                    [--routers R] router shards for the partitioned
-                                 control-plane runs of [router]
-                                 (default 4; the gated acceptance
-                                 point of `make bench-router`)
                     [--json F]   record per-experiment wall-clock
                                  (sequential vs parallel) into F
 
@@ -46,8 +42,6 @@ let jobs = ref (Horse_parallel.Pool.default_jobs ())
 let chunk : int option ref = ref None
 
 let shards = ref (max 4 (Horse_parallel.Pool.default_jobs ()))
-
-let routers = ref 4
 
 let json_path : string option ref = ref None
 
@@ -965,147 +959,6 @@ let chain () =
     fv.E.ch_p99_us
 
 (* ------------------------------------------------------------------ *)
-(* Router: partitioned control plane (make bench-router)               *)
-(* ------------------------------------------------------------------ *)
-
-(* The router sweep's points: 1 is the serial reference, the gated
-   acceptance point is whatever --routers asks for (default 4, the
-   bench_check floor kicks in at >= 4). *)
-let router_points () =
-  List.sort_uniq compare (List.filter (fun r -> r <= 8) [ 1; 2; 4; 8; !routers ])
-
-let router () =
-  section
-    (Printf.sprintf
-       "Router - partitioned control plane (--routers %d, --shards %d)"
-       !routers !shards);
-  (* the bit-identity gates first: at each router count the row must be
-     byte-identical for any shard count and under both schedulers, for
-     several seeds — or the sweep below compares different work.
-     (Epoch/round counts are scheduler structure, masked only for the
-     cross-scheduler comparison; message counts must agree.) *)
-  let identity_triggers = 20_000 in
-  List.iter
-    (fun nrouters ->
-      List.iter
-        (fun seed ->
-          let run ?scheduler shards =
-            E.router_run ?scheduler ~seed ~shards ~routers:nrouters
-              ~triggers:identity_triggers ()
-          in
-          let reference = run 1 in
-          List.iter
-            (fun s ->
-              let sharded = run s in
-              if
-                { sharded with E.rt_shards = reference.E.rt_shards }
-                <> reference
-              then begin
-                Printf.eprintf
-                  "router: routers=%d diverged from shards=1 at shards=%d \
-                   seed=%d\n"
-                  nrouters s seed;
-                exit 1
-              end)
-            [ 2; 4 ];
-          let lockstep = run ~scheduler:Shard_engine.Lockstep 4 in
-          if
-            {
-              lockstep with
-              E.rt_shards = reference.E.rt_shards;
-              rt_epochs = reference.E.rt_epochs;
-              rt_rounds = reference.E.rt_rounds;
-            }
-            <> reference
-          then begin
-            Printf.eprintf
-              "router: routers=%d lock-step diverged from the adaptive \
-               reference at seed=%d\n"
-              nrouters seed;
-            exit 1
-          end)
-        [ 1; 42 ])
-    (List.filter (fun r -> r <= 4) (router_points ()));
-  Printf.printf
-    "identity: routers {1,2,4} x seeds {1,42} x shards {1,2,4} x \
-     schedulers bit-identical at %dk triggers\n%!"
-    (identity_triggers / 1000);
-  (* the acceptance sweep: the 100k bursty storm, run-phase wall clock
-     at each router count against the single-router plane.  [on_run]
-     times only the event-processing phase — provisioning and batch
-     construction are identical on every side *)
-  let triggers = 100_000 in
-  let rounds = 3 in
-  let wall = ref 0.0 in
-  let timing run =
-    Gc.full_major ();
-    let t0 = now_s () in
-    run ();
-    wall := now_s () -. t0
-  in
-  let measure nrouters =
-    let run () =
-      E.router_run ~routers:nrouters ~shards:!shards ~triggers
-        ~on_run:timing ()
-    in
-    let row = run () (* warm-up *) in
-    let best = ref infinity in
-    for _ = 1 to rounds do
-      ignore (run ());
-      if !wall < !best then best := !wall
-    done;
-    (row, !best)
-  in
-  let measured = List.map (fun r -> (r, measure r)) (router_points ()) in
-  let _, (_, base_wall) = List.hd measured in
-  List.iter
-    (fun (r, ((row : E.router_row), w)) ->
-      if r >= 2 then
-        timings :=
-          {
-            Report.t_name =
-              Printf.sprintf "router:plane:r%d:%dk-trig" r (triggers / 1000);
-            (* the "jobs" of a router entry records the router count *)
-            t_jobs = r;
-            t_wall_seq_s = base_wall;
-            t_wall_par_s = w;
-            t_meta =
-              [
-                ("routers", Json.Int r);
-                ("spills", Json.Int row.E.rt_spills);
-                ("epochs", Json.Int row.E.rt_epochs);
-                ("messages", Json.Int row.E.rt_messages);
-              ];
-          }
-          :: !timings)
-    measured;
-  Report.print
-    ~caption:
-      (Printf.sprintf
-         "100k bursty triggers over 32 functions on 8 servers: the \
-          function-affinity hash spreads the storm over R router strands; \
-          wall is the run phase, min of %d rounds, speedup vs routers=1"
-         rounds)
-    ~header:
-      [ "routers"; "completed"; "rejected"; "spills"; "p50"; "p99";
-        "epochs"; "messages"; "wall"; "speedup" ]
-    (List.map
-       (fun (r, ((row : E.router_row), w)) ->
-         [
-           string_of_int r;
-           string_of_int row.E.rt_completed;
-           string_of_int row.E.rt_rejected;
-           string_of_int row.E.rt_spills;
-           Report.ns (row.E.rt_p50_us *. 1e3);
-           Report.ns (row.E.rt_p99_us *. 1e3);
-           string_of_int row.E.rt_epochs;
-           string_of_int row.E.rt_messages;
-           Printf.sprintf "%.3fs" w;
-           Report.ratio (base_wall /. w);
-         ])
-       measured)
-
-(* ------------------------------------------------------------------ *)
 (* Headline summary                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1494,7 +1347,6 @@ let all () =
   scale ();
   policy ();
   chain ();
-  router ();
   ablations ();
   micro ()
 
@@ -1505,15 +1357,14 @@ let () =
       ("fig4", fig4); ("overhead", overhead); ("colocation", colocation);
       ("summary", summary); ("xen", xen); ("faults", faults);
       ("scale", scale); ("shard", shard); ("policy", policy);
-      ("chain", chain); ("router", router); ("sweeps", sweeps);
+      ("chain", chain); ("sweeps", sweeps);
       ("ablations", ablations);
       ("micro", micro); ("csv", csv); ("all", all);
     ]
   in
   let usage () =
     Printf.eprintf
-      "usage: %s [experiment] [--jobs N] [--chunk C] [--shards S] \
-       [--routers R] [--json FILE]\n"
+      "usage: %s [experiment] [--jobs N] [--chunk C] [--shards S] [--json FILE]\n"
       Sys.argv.(0);
     Printf.eprintf "experiments: %s\n" (String.concat ", " (List.map fst experiments));
     exit 1
@@ -1544,18 +1395,10 @@ let () =
       | Some _ | None ->
         Printf.eprintf "--shards: expected a positive integer, got %S\n" s;
         exit 1)
-    | "--routers" :: r :: rest -> (
-      match int_of_string_opt r with
-      | Some r when r >= 1 && r <= 8 ->
-        routers := r;
-        parse positional rest
-      | Some _ | None ->
-        Printf.eprintf "--routers: expected an integer in 1..8, got %S\n" r;
-        exit 1)
     | "--json" :: path :: rest ->
       json_path := Some path;
       parse positional rest
-    | [ (("--jobs" | "--chunk" | "--shards" | "--routers" | "--json") as flag) ] ->
+    | [ (("--jobs" | "--chunk" | "--shards" | "--json") as flag) ] ->
       Printf.eprintf "missing value after %s\n" flag;
       usage ()
     | arg :: _ when String.length arg > 1 && arg.[0] = '-' ->

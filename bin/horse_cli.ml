@@ -4,8 +4,7 @@
      dune exec bin/horse_cli.exe -- sweep --profile xen
      dune exec bin/horse_cli.exe -- trace-gen --functions 50 > trace.csv
      dune exec bin/horse_cli.exe -- trace-stats trace.csv
-     dune exec bin/horse_cli.exe -- workload cat2
-     dune exec bin/horse_cli.exe -- cluster --routers 4 --shards 2 *)
+     dune exec bin/horse_cli.exe -- workload cat2 *)
 
 module E = Horse.Experiments
 module Report = Horse.Report
@@ -300,95 +299,6 @@ let serve_cmd =
     Term.(const run $ profile_arg $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
-(* cluster: the partitioned router plane                               *)
-(* ------------------------------------------------------------------ *)
-
-let cluster_cmd =
-  let positive_int =
-    Arg.conv
-      ( (fun s ->
-          match Arg.conv_parser Arg.int s with
-          | Ok n when n >= 1 -> Ok n
-          | Ok _ -> Error (`Msg "expected a positive integer")
-          | Error _ as e -> e),
-        Arg.conv_printer Arg.int )
-  in
-  let routers_arg =
-    let bounded =
-      Arg.conv
-        ( (fun s ->
-            match Arg.conv_parser Arg.int s with
-            | Ok n when n >= 1 && n <= 8 -> Ok n
-            | Ok _ -> Error (`Msg "expected an integer in 1..8")
-            | Error _ as e -> e),
-          Arg.conv_printer Arg.int )
-    in
-    Arg.(
-      value & opt bounded 4
-      & info [ "routers" ] ~docv:"R"
-          ~doc:
-            "Router shards in the control plane (1..8, at most one per \
-             server).  Functions map to routers by a deterministic hash of \
-             their dense id; the sweep runs every point up to $(docv).  \
-             R=1 reproduces the classic single-router plane exactly.")
-  in
-  let shards_arg =
-    Arg.(
-      value & opt positive_int 1
-      & info [ "shards" ] ~docv:"S"
-          ~doc:
-            "Execution tasks for the sharded engine.  Rows are \
-             bit-identical for every S; only the wall-clock changes.")
-  in
-  let triggers_arg =
-    Arg.(
-      value & opt positive_int 20_000
-      & info [ "triggers" ] ~docv:"N"
-          ~doc:"Warm triggers in the bursty storm.")
-  in
-  let run profile seed routers shards triggers =
-    let points =
-      List.sort_uniq compare
-        (List.filter (fun r -> r <= routers) [ 1; 2; 4; 8; routers ])
-    in
-    let rows =
-      E.router_sweep ~profile ~seed ~shards ~triggers ~points ()
-    in
-    Report.print
-      ~caption:
-        (Printf.sprintf
-           "Partitioned router plane (%s profile, seed %d): %d bursty \
-            triggers over 32 functions, function-affine routing, spill \
-            ring on dry or blacked-out groups"
-           (E.profile_name profile) seed triggers)
-      ~header:
-        [ "routers"; "servers"; "completed"; "rejected"; "spills"; "p50";
-          "p99"; "epochs"; "messages" ]
-      (List.map
-         (fun (r : E.router_row) ->
-           [
-             string_of_int r.E.rt_routers;
-             string_of_int r.E.rt_servers;
-             string_of_int r.E.rt_completed;
-             string_of_int r.E.rt_rejected;
-             string_of_int r.E.rt_spills;
-             Report.ns (r.E.rt_p50_us *. 1e3);
-             Report.ns (r.E.rt_p99_us *. 1e3);
-             string_of_int r.E.rt_epochs;
-             string_of_int r.E.rt_messages;
-           ])
-         rows)
-  in
-  Cmd.v
-    (Cmd.info "cluster"
-       ~doc:
-         "Run the function-affine multi-router control plane across router \
-          counts.")
-    Term.(
-      const run $ profile_arg $ seed_arg $ routers_arg $ shards_arg
-      $ triggers_arg)
-
-(* ------------------------------------------------------------------ *)
 (* summary                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -421,5 +331,5 @@ let () =
        (Cmd.group info
           [
             resume_cmd; sweep_cmd; trace_gen_cmd; trace_stats_cmd;
-            workload_cmd; cluster_cmd; summary_cmd; serve_cmd;
+            workload_cmd; summary_cmd; serve_cmd;
           ]))

@@ -21,7 +21,10 @@ module Report = Horse.Report
 
 let run routing =
   let engine = Engine.create ~seed:8 () in
-  let cluster = Cluster.create ~servers:4 ~routing ~seed:8 ~engine () in
+  let cluster =
+    Cluster.create ~servers:4 ~policy:(Cluster.Policy.push ~routing ()) ~seed:8
+      ~engine ()
+  in
   (* a ~2ms ML-inference-style function: long enough that several
      invocations are in flight, so a blind router can hit a server
      whose sandboxes are all busy *)
@@ -48,7 +51,7 @@ let run routing =
                      (float_of_int (Time.span_to_ns record.Platform.init)))
                  ()
              with
-             | Cluster.Accepted _ | Cluster.Queued | Cluster.Forwarded _ -> ()
+             | Cluster.Accepted _ | Cluster.Queued -> ()
              | Cluster.Rejected _ ->
                (* a dry fleet: fall back to a cold start *)
                incr cold;

@@ -1389,111 +1389,6 @@ let chain_sweep ?(profile = Firecracker) ?(seed = 42) ?(shards = 1)
     [ Sandbox.Horse; Sandbox.Vanilla ]
 
 (* ------------------------------------------------------------------ *)
-(* Router plane: function-affine control-plane partitioning            *)
-(* ------------------------------------------------------------------ *)
-
-type router_row = {
-  rt_routers : int;
-  rt_servers : int;
-  rt_functions : int;
-  rt_triggers : int;
-  rt_shards : int;
-  rt_completed : int;
-  rt_rejected : int;
-  rt_spills : int;
-  rt_p50_us : float;
-  rt_p99_us : float;
-  rt_epochs : int;
-  rt_rounds : int;
-  rt_messages : int;
-}
-
-let router_run ?(profile = Firecracker) ?(seed = 42) ?(shards = 1)
-    ?(duration_s = 1.0) ?(servers = 8) ?(functions = 32)
-    ?(sandboxes = 1_024) ?policy ?scheduler ?(on_run = fun run -> run ())
-    ~routers ~triggers () =
-  if functions < 1 then invalid_arg "Experiments.router_run: functions < 1";
-  let duration = Time.span_s duration_s in
-  let cluster =
-    Cluster.create_sharded ~servers ~topology:Topology.r650_smt
-      ~cost:(cost_of_profile profile) ~seed ~routers ?policy ?scheduler
-      ~shards ()
-  in
-  (* many registered functions, not one: triggers reach routers by the
-     function-affinity hash, so a single hot function would land every
-     trigger on one router and measure nothing.  32 functions spread
-     near-uniformly over any router count in the sweep *)
-  let fn_ids =
-    Array.init functions (fun i ->
-        let name = Printf.sprintf "fn%02d" i in
-        Cluster.register cluster
-          (Function_def.create ~name ~vcpus:2 ~memory_mb:512
-             ~exec:(Function_def.Ull Category.Cat2) ());
-        name)
-  in
-  let per_fn = max 1 (sandboxes / functions) in
-  Array.iter
-    (fun name ->
-      Cluster.provision cluster ~name ~total:per_fn ~strategy:Sandbox.Horse)
-    fn_ids;
-  let fn_ids =
-    Array.map (fun name -> Cluster.fn_id cluster ~name) fn_ids
-  in
-  let rng = Rng.create ~seed:(seed + 514229) in
-  (* bursty clumps (the storm regime), restamped round-robin over the
-     function set: [Batch.bursty] emits one fn id for the whole trace,
-     so the arrival times are rewritten row by row into a fresh batch
-     whose fn-id column cycles the palette.  Bursty output is already
-     time-sorted, so insertion order keeps the copy sorted too *)
-  let warm = Platform.mode_code (Platform.Warm Sandbox.Horse) in
-  let times = Batch.bursty ~rng ~n:triggers ~duration ~burst:48 () in
-  let batch = Batch.create ~capacity:(max 1 triggers) () in
-  for k = 0 to triggers - 1 do
-    Batch.add batch ~at:(Batch.time times k)
-      ~fn_id:fn_ids.(k mod functions)
-      ~payload:warm
-  done;
-  Cluster.schedule_batch cluster batch;
-  on_run (fun () -> Cluster.run cluster);
-  let latencies = Stats.Quantile.create ~quantiles:[| 0.5; 0.99 |] () in
-  collect_latencies ~unit_ns:1e3 ~add:(Stats.Quantile.add latencies)
-    (Of_cluster cluster);
-  let p q =
-    if Stats.Quantile.count latencies = 0 then 0.0
-    else Stats.Quantile.percentile latencies q
-  in
-  let se = Option.get (Cluster.shard_engine cluster) in
-  {
-    rt_routers = routers;
-    rt_servers = servers;
-    rt_functions = functions;
-    rt_triggers = triggers;
-    rt_shards = shards;
-    rt_completed = Cluster.record_count cluster;
-    rt_rejected = List.length (Cluster.rejections cluster);
-    rt_spills = Metrics.counter (Cluster.metrics cluster) "cluster.spills";
-    rt_p50_us = p 50.0;
-    rt_p99_us = p 99.0;
-    rt_epochs = Horse_sim.Shard_engine.epochs se;
-    rt_rounds = Horse_sim.Shard_engine.rounds se;
-    rt_messages = Horse_sim.Shard_engine.messages_delivered se;
-  }
-
-let default_router_points = [ 1; 2; 4; 8 ]
-
-let router_sweep ?(profile = Firecracker) ?(seed = 42) ?(shards = 1)
-    ?(duration_s = 1.0) ?(servers = 8) ?(functions = 32)
-    ?(sandboxes = 1_024) ?(triggers = 100_000)
-    ?(points = default_router_points) ?policy () =
-  (* like the scale sweep: no [fan] — within one run the parallelism
-     is the sharded engine running R router strands side by side *)
-  List.map
-    (fun routers ->
-      router_run ~profile ~seed ~shards ~duration_s ~servers ~functions
-        ~sandboxes ?policy ~routers ~triggers ())
-    points
-
-(* ------------------------------------------------------------------ *)
 (* Headline summary                                                    *)
 (* ------------------------------------------------------------------ *)
 

@@ -450,55 +450,6 @@ val chain_sweep :
     [bench_check] gate requires fused p99 ≤ unfused p99 at every
     length ≥ 3. *)
 
-(** {1 Router plane — function-affine control-plane partitioning} *)
-
-type router_row = {
-  rt_routers : int;  (** router shards in the control plane *)
-  rt_servers : int;
-  rt_functions : int;  (** registered functions (affinity spread) *)
-  rt_triggers : int;
-  rt_shards : int;
-  rt_completed : int;
-  rt_rejected : int;
-  rt_spills : int;  (** triggers forwarded over the spill ring *)
-  rt_p50_us : float;  (** end-to-end latency percentiles, µs *)
-  rt_p99_us : float;
-  rt_epochs : int;  (** outer windows the shard engine executed *)
-  rt_rounds : int;  (** synchronization rounds (barrier fan-outs) *)
-  rt_messages : int;  (** cross-shard messages delivered *)
-}
-
-val router_run :
-  ?profile:profile -> ?seed:int -> ?shards:int -> ?duration_s:float ->
-  ?servers:int -> ?functions:int -> ?sandboxes:int ->
-  ?policy:Horse_faas.Cluster.Policy.t ->
-  ?scheduler:Horse_sim.Shard_engine.scheduler ->
-  ?on_run:((unit -> unit) -> unit) ->
-  routers:int -> triggers:int -> unit -> router_row
-(** One partitioned-control-plane run: [routers] router shards over
-    [servers] servers (disjoint groups, [routers <= servers]),
-    [functions] registered uLL functions (default 32) splitting
-    [sandboxes] HORSE sandboxes evenly, and [triggers] warm triggers
-    in bursty clumps within [duration_s] whose fn-id column cycles the
-    whole function palette — the affinity hash then spreads the
-    trigger storm near-uniformly over every router, which is the
-    serial bottleneck this sweep measures.  [on_run] receives the
-    closure that drives the simulation and must call it exactly once;
-    the benchmark uses it to time the (parallelizable) run phase.
-    The row is bit-identical for every [shards] value and scheduler,
-    and [routers = 1] reproduces the single-router plane exactly.
-    @raise Invalid_argument if [functions < 1]. *)
-
-val router_sweep :
-  ?profile:profile -> ?seed:int -> ?shards:int -> ?duration_s:float ->
-  ?servers:int -> ?functions:int -> ?sandboxes:int -> ?triggers:int ->
-  ?points:int list -> ?policy:Horse_faas.Cluster.Policy.t -> unit ->
-  router_row list
-(** {!router_run} at each router count in [points] (default 1, 2, 4,
-    8) with everything else held fixed — the table behind
-    [BENCH_router.json].  The [bench_check] gate requires a run-phase
-    speedup at [routers >= 4] when enough cores are present. *)
-
 (** {1 Headline summary} *)
 
 type summary = {

@@ -29,25 +29,19 @@ type rejection = {
   at : Time.t;
 }
 
-type outcome =
-  | Accepted of int
-  | Rejected of rejection
-  | Queued
-  | Forwarded of int
+type outcome = Accepted of int | Rejected of rejection | Queued
 
-(* The scheduling-policy interface.  A policy sees one router's slice
-   of the fleet only through a {!Policy.view} — per-server health, the
-   live/warm mirrors, per-server busy-vCPU counts, all indexed by the
-   router-local server index — and answers with a {!Policy.decision}.
-   Event hooks ([on_completion] etc.) run on that router's timeline,
-   in deterministic message-delivery order, and return {e claims}:
-   local server indices asking to be handed a queued trigger.  The
-   router resolves claims against its own pending queue (dispatching
-   one trigger per claim, or calling [on_claim_unused] when the queue
-   is dry), so policies never touch triggers directly and every policy
-   inherits the cluster's bit-identical execution discipline.  A
-   multi-router cluster instantiates the policy once per router over
-   that router's server group; the instances never share state. *)
+(* The scheduling-policy interface.  A policy sees the router's state
+   only through a {!Policy.view} — per-server health, the live/warm
+   mirrors, per-server busy-vCPU counts — and answers with a
+   {!Policy.decision}.  Event hooks ([on_completion] etc.) run on the
+   router's timeline, in deterministic message-delivery order, and
+   return {e claims}: server indices asking to be handed a queued
+   trigger.  The cluster resolves claims against its pending queue
+   (dispatching one trigger per claim, or calling [on_claim_unused]
+   when the queue is dry), so policies never touch triggers
+   directly and every policy inherits the cluster's bit-identical
+   execution discipline. *)
 module Policy = struct
   type view = {
     v_servers : int;
@@ -324,36 +318,28 @@ module Policy = struct
 end
 
 (* How the cluster executes.  [Direct] is the legacy single-engine
-   mode: every server shares the caller's engine and the (single)
-   router reads live server state synchronously.  [Sharded] partitions
-   the run over a {!Shard_engine}: router [r] is logical shard [r]
-   (of [R] routers), server [g] is shard [R + g], every
-   router<->server interaction crosses a [placement] delay through the
-   shard engine's deterministic mailboxes, and each router routes from
-   its own mirrors of its server group's state (updated only by those
-   messages, so routing decisions are partition-independent).  With
-   [R > 1] the routers additionally form a directed spill ring
-   [r -> (r + 1) mod R], each link carrying the placement latency. *)
+   mode: every server shares the caller's engine and the router reads
+   live server state synchronously.  [Sharded] partitions the run over
+   a {!Shard_engine}: the router is logical shard 0, server [i] is
+   shard [i + 1], every router<->server interaction crosses a
+   [placement] delay through the shard engine's deterministic
+   mailboxes, and the router routes from its own mirrors of server
+   state (updated only by those messages, so routing decisions are
+   partition-independent). *)
 type sharded = {
   se : Shard_engine.t;
   placement : Time.span;
   exec_shards : int;  (* execution tasks for [run] *)
+  live_view : int array;  (* router's believed live count per server *)
+  li : Load_index.t;
+      (* bucketed argmin over [live_view] among healthy servers:
+         least-loaded routing without the per-trigger fleet scan *)
+  busy_view : int array;  (* router's believed busy vCPUs per server *)
+  pool_view : (string, int array) Hashtbl.t;
+      (* router's believed warm-pool size per function per server *)
 }
 
 type backend = Direct | Sharded of sharded
-
-(* One router's believed state of its own server group, indexed by the
-   router-local server index.  Only the owning router's strand ever
-   touches these. *)
-type mirror = {
-  m_live : int array;  (* believed live count per group server *)
-  m_li : Load_index.t;
-      (* bucketed argmin over [m_live] among healthy group servers:
-         least-loaded routing without the per-trigger group scan *)
-  m_busy : int array;  (* believed busy vCPUs per group server *)
-  m_pool : (string, int array) Hashtbl.t;
-      (* believed warm-pool size per function per group server *)
-}
 
 (* A trigger the policy chose not to place yet: it waits in the
    router-side queue until a server claims it. *)
@@ -365,53 +351,35 @@ type pending_trigger = {
   pt_arrival : Time.t;
 }
 
-(* One router shard.  Everything mutable in here is owned by the
-   router's strand: hooks, mirrors, queues, the completion log, the
-   rejection log, the latency estimator and the metrics registry all
-   mutate only on [r_engine]'s timeline, in deterministic
-   message-delivery order.  A Direct cluster is exactly one router
-   whose group is the whole fleet — the single shared code path is
-   what makes [routers = 1] degenerate byte-for-byte to the
-   single-router cluster. *)
-type router = {
-  r_id : int;
-  r_engine : Engine.t;
-  r_group : int array;  (* owned global server indices, ascending *)
-  r_policy : Policy.instance;
-  mutable r_view : Policy.view;  (* one reusable view; closures read [t] *)
-  mutable r_view_name : string;  (* function under decision, for [v_warm] *)
-  r_pending : pending_trigger Queue.t;  (* router-side claimable queue *)
-  r_claims : int Queue.t;  (* local server claims awaiting resolution *)
-  mutable r_draining : bool;  (* claim-resolution loop re-entrancy guard *)
-  r_e2e : Stats.Quantile.t option;
+type t = {
+  engine : Engine.t;  (* the router's engine (the only engine in Direct) *)
+  backend : backend;
+  platforms : Platform.t array;
+  policy : Policy.instance;
+  mutable view : Policy.view;  (* one reusable view; closures read [t] *)
+  mutable view_name : string;  (* function under decision, for [v_warm] *)
+  pending : pending_trigger Queue.t;  (* router-side claimable queue *)
+  claims : int Queue.t;  (* servers whose claims await resolution *)
+  mutable draining : bool;  (* claim-resolution loop re-entrancy guard *)
+  e2e : Stats.Quantile.t option;
       (* arrival -> router-observed completion, microseconds *)
-  r_metrics : Metrics.t;  (* this router's counters (rejections, spills) *)
-  mutable r_healthy_n : int;  (* healthy servers in this group *)
-  (* Group completion log: one packed (slot, global server) int per
+  metrics : Metrics.t;  (* fleet-level counters (rejections, blackouts) *)
+  faults : Fault.Plan.t;  (* cluster-level plan: the blackout schedule *)
+  healthy : bool array;
+  mutable healthy_n : int;
+  trigger_counts : int array;
+  (* Fleet-wide completion log: one packed (slot, server) int per
      completion, in router-observed order.  The slot indexes the
      server platform's trigger-record arena, so the log itself costs
      one word per trigger; the boxed [(server, record)] list the old
-     code consed per completion is materialized on demand (and
+     code consed per completion is now materialized on demand (and
      memoized) by [records]. *)
-  mutable r_log : int array;
-  mutable r_log_len : int;
-  mutable r_rejected : rejection list;  (* newest first *)
-  r_mirror : mirror option;  (* [Some] on sharded clusters *)
-}
-
-type t = {
-  backend : backend;
-  platforms : Platform.t array;
-  routing : routing;
-  routers : router array;
-  owner : int array;  (* global server index -> owning router id *)
-  local_ix : int array;  (* global server index -> index in its group *)
-  faults : Fault.Plan.t;  (* cluster-level plan: the blackout schedule *)
-  healthy : bool array;  (* global; each cell written by its owner only *)
-  trigger_counts : int array;  (* global; owner-written *)
   srv_bits : int;
+  mutable log : int array;
+  mutable log_len : int;
   mutable records_cache : (int * Platform.record) list;
   mutable records_cache_len : int;
+  mutable rejected : rejection list;  (* newest first *)
 }
 
 let dummy_view =
@@ -428,99 +396,66 @@ let dummy_view =
 
 let server_count t = Array.length t.platforms
 
-let router_count t = Array.length t.routers
-
-let router_of_server t i =
-  if i < 0 || i >= server_count t then
-    invalid_arg "Cluster.router_of_server: index out of range";
-  t.owner.(i)
-
-(* Function -> router affinity: a multiplicative hash of the dense
-   registry id, so consecutive (and Zipf-popular low) ids spread over
-   the routers instead of clumping on router 0. *)
-let mix_fn_id id =
-  let h = id * 0x9E3779B1 in
-  let h = h lxor (h lsr 16) in
-  let h = h * 0x85EBCA6B in
-  let h = h lxor (h lsr 13) in
-  h land max_int
-
-let router_of_fn t ~fn_id =
-  let rc = Array.length t.routers in
-  if rc = 1 then 0 else mix_fn_id fn_id mod rc
-
-let router_engine t r =
-  if r < 0 || r >= router_count t then
-    invalid_arg "Cluster.router_engine: index out of range";
-  t.routers.(r).r_engine
-
-let router_servers t r =
-  if r < 0 || r >= router_count t then
-    invalid_arg "Cluster.router_servers: index out of range";
-  Array.copy t.routers.(r).r_group
-
-(* Routing inputs, all router-local.  Direct mode reads the live
-   server state (the legacy synchronous router); sharded mode reads
-   the router's mirrors, which change only through the deterministic
-   message protocol. *)
-let live_of t r li =
-  match r.r_mirror with
-  | None -> Platform.live_invocations t.platforms.(r.r_group.(li))
-  | Some m -> m.m_live.(li)
+(* Routing inputs.  Direct mode reads the live server state (the
+   legacy synchronous router); sharded mode reads the router's
+   mirrors, which change only through the deterministic message
+   protocol. *)
+let live_of t i =
+  match t.backend with
+  | Direct -> Platform.live_invocations t.platforms.(i)
+  | Sharded s -> s.live_view.(i)
 
 (* The pool-size mirror for [name]; rows exist from [register] on, so
    creation never reads live server state mid-run. *)
-let pool_view_entry m ~servers name =
-  match Hashtbl.find_opt m.m_pool name with
+let pool_view_entry s ~servers name =
+  match Hashtbl.find_opt s name with
   | Some row -> row
   | None ->
     let row = Array.make servers 0 in
-    Hashtbl.replace m.m_pool name row;
+    Hashtbl.replace s name row;
     row
 
-let warm_of t r ~name li =
-  match r.r_mirror with
-  | None -> Platform.pool_size t.platforms.(r.r_group.(li)) ~name
-  | Some m ->
-    (pool_view_entry m ~servers:(Array.length r.r_group) name).(li)
+let warm_of t ~name i =
+  match t.backend with
+  | Direct -> Platform.pool_size t.platforms.(i) ~name
+  | Sharded s ->
+    (pool_view_entry s.pool_view ~servers:(server_count t) name).(i)
 
-(* Least-loaded among the group's healthy servers; [None] when the
-   whole group is down.  Direct mode scans (its live counts change
-   outside the router's control, e.g. on a retry-exhausted abort);
-   sharded mode reads the incrementally-maintained index over its own
-   mirrors. *)
-let least_loaded_index t r =
-  match r.r_mirror with
-  | Some m -> Load_index.argmin m.m_li
-  | None ->
+(* Least-loaded among healthy servers; [None] when the fleet is down.
+   Direct mode scans (its live counts change outside the router's
+   control, e.g. on a retry-exhausted abort); sharded mode reads the
+   incrementally-maintained index over its own mirrors. *)
+let least_loaded_index t =
+  match t.backend with
+  | Sharded s -> Load_index.argmin s.li
+  | Direct ->
     let best = ref None in
     Array.iteri
-      (fun li g ->
-        if t.healthy.(g) then
+      (fun i _ ->
+        if t.healthy.(i) then
           match !best with
-          | Some j when live_of t r j <= live_of t r li -> ()
-          | Some _ | None -> best := Some li)
-      r.r_group;
+          | Some j when live_of t j <= live_of t i -> ()
+          | Some _ | None -> best := Some i)
+      t.platforms;
     !best
 
-let make_view t r =
+let make_view t =
   {
-    Policy.v_servers = Array.length r.r_group;
-    v_healthy = (fun li -> t.healthy.(r.r_group.(li)));
-    v_live = (fun li -> live_of t r li);
-    v_warm = (fun li -> warm_of t r ~name:r.r_view_name li);
+    Policy.v_servers = server_count t;
+    v_healthy = (fun i -> t.healthy.(i));
+    v_live = (fun i -> live_of t i);
+    v_warm = (fun i -> warm_of t ~name:t.view_name i);
     v_busy =
-      (match r.r_mirror with
-      | None -> fun li -> Platform.busy_vcpus t.platforms.(r.r_group.(li))
-      | Some m -> fun li -> m.m_busy.(li));
+      (match t.backend with
+      | Direct -> fun i -> Platform.busy_vcpus t.platforms.(i)
+      | Sharded s -> fun i -> s.busy_view.(i));
     v_total_vcpus = Scheduler.cpu_count (Platform.scheduler t.platforms.(0));
-    v_pending = (fun () -> Queue.length r.r_pending);
-    v_least_loaded = (fun () -> least_loaded_index t r);
+    v_pending = (fun () -> Queue.length t.pending);
+    v_least_loaded = (fun () -> least_loaded_index t);
   }
 
-let make ~servers ~routing ~policy ~e2e ~topology ~cost ~keep_alive ~seed
-    ~faults ~recovery ~ull_count ~backend ~router_count ~router_engine
-    ~platform_engine =
+let make ~servers ~policy ~e2e ~topology ~cost ~keep_alive ~seed
+    ~faults ~recovery ~ull_count ~engine ~backend ~platform_engine =
   if servers <= 0 then invalid_arg "Cluster.create: servers <= 0";
   let platforms =
     (* each server gets its own derived plan: per-server fault
@@ -532,8 +467,8 @@ let make ~servers ~routing ~policy ~e2e ~topology ~cost ~keep_alive ~seed
           ~faults:(Fault.Plan.derive faults ~index:i)
           ?recovery ~engine:(platform_engine i) ())
   in
-  let metrics0 = Metrics.create () in
-  Fault.Plan.attach_metrics faults metrics0;
+  let metrics = Metrics.create () in
+  Fault.Plan.attach_metrics faults metrics;
   let srv_bits =
     let b = ref 0 in
     while 1 lsl !b < servers do
@@ -542,174 +477,121 @@ let make ~servers ~routing ~policy ~e2e ~topology ~cost ~keep_alive ~seed
     !b
   in
   let policy =
-    match policy with Some p -> p | None -> Policy.push ~routing ()
-  in
-  let sharded = match backend with Direct -> false | Sharded _ -> true in
-  let routers =
-    Array.init router_count (fun ri ->
-        (* router [ri] owns servers { g | g mod R = ri }, ascending *)
-        let size = (servers - ri + router_count - 1) / router_count in
-        let group = Array.init size (fun j -> ri + (j * router_count)) in
-        {
-          r_id = ri;
-          r_engine = router_engine ri;
-          r_group = group;
-          r_policy = Policy.instantiate policy ~servers:size;
-          r_view = dummy_view;
-          r_view_name = "";
-          r_pending = Queue.create ();
-          r_claims = Queue.create ();
-          r_draining = false;
-          r_e2e =
-            (if e2e then
-               Some (Stats.Quantile.create ~quantiles:[| 0.5; 0.99; 0.999 |] ())
-             else None);
-          r_metrics = (if ri = 0 then metrics0 else Metrics.create ());
-          r_healthy_n = size;
-          r_log = Array.make 64 0;
-          r_log_len = 0;
-          r_rejected = [];
-          r_mirror =
-            (if not sharded then None
-             else
-               Some
-                 {
-                   m_live = Array.make size 0;
-                   m_li = Load_index.create ~n:size;
-                   m_busy = Array.make size 0;
-                   m_pool = Hashtbl.create 16;
-                 });
-        })
+    match policy with Some p -> p | None -> Policy.push ()
   in
   let t =
     {
+      engine;
       backend;
       platforms;
-      routing;
-      routers;
-      owner = Array.init servers (fun g -> g mod router_count);
-      local_ix = Array.init servers (fun g -> g / router_count);
+      policy = Policy.instantiate policy ~servers;
+      view = dummy_view;
+      view_name = "";
+      pending = Queue.create ();
+      claims = Queue.create ();
+      draining = false;
+      e2e =
+        (if e2e then
+           Some (Stats.Quantile.create ~quantiles:[| 0.5; 0.99; 0.999 |] ())
+         else None);
+      metrics;
       faults;
       healthy = Array.make servers true;
+      healthy_n = servers;
       trigger_counts = Array.make servers 0;
       srv_bits;
+      log = Array.make 64 0;
+      log_len = 0;
       records_cache = [];
       records_cache_len = 0;
+      rejected = [];
     }
   in
-  Array.iter (fun r -> r.r_view <- make_view t r) t.routers;
+  t.view <- make_view t;
   t
 
-let create ?(servers = 4) ?(routing = Warm_first) ?policy ?(e2e = false)
+let create ?(servers = 4) ?policy ?(e2e = false)
     ?(topology = Topology.r650) ?(cost = Cost_model.firecracker) ?keep_alive
     ?(seed = 42) ?(faults = Fault.Plan.none) ?recovery ?ull_count ~engine () =
-  make ~servers ~routing ~policy ~e2e ~topology ~cost ~keep_alive ~seed ~faults
-    ~recovery ~ull_count ~backend:Direct ~router_count:1
-    ~router_engine:(fun _ -> engine)
+  make ~servers ~policy ~e2e ~topology ~cost ~keep_alive ~seed ~faults
+    ~recovery ~ull_count ~engine ~backend:Direct
     ~platform_engine:(fun _ -> engine)
 
 let default_placement = Time.span_us 50.0
 
-let create_sharded ?(servers = 4) ?(routing = Warm_first) ?policy
+let create_sharded ?(servers = 4) ?policy
     ?(e2e = false) ?(topology = Topology.r650) ?(cost = Cost_model.firecracker)
     ?keep_alive ?(seed = 42) ?(faults = Fault.Plan.none) ?recovery ?ull_count
-    ?(placement = default_placement) ?(shards = 1) ?scheduler ?window
-    ?(routers = 1) () =
+    ?(placement = default_placement) ?(shards = 1) ?scheduler ?window () =
   if servers <= 0 then invalid_arg "Cluster.create_sharded: servers <= 0";
   if shards < 1 then invalid_arg "Cluster.create_sharded: shards < 1";
-  if routers < 1 then invalid_arg "Cluster.create_sharded: routers < 1";
-  if routers > servers then
-    invalid_arg "Cluster.create_sharded: routers > servers";
   (* The channel matrix mirrors the topology: every message crosses a
-     router<->server link carrying the placement latency, servers
-     never talk to each other directly, and with [routers > 1] the
-     routers form a directed spill ring [r -> (r + 1) mod routers] —
-     leaving all other pairs unbounded is what lets the adaptive
-     scheduler run each shard to its own horizon instead of the
-     global minimum. *)
+     router<->server link carrying the placement latency, and servers
+     never talk to each other directly — leaving those pairs
+     unbounded is what lets the adaptive scheduler run each server to
+     its own horizon instead of the global minimum. *)
   let channels =
     List.concat
-      (List.init servers (fun g ->
-           let r = g mod routers in
-           [ (r, routers + g, placement); (routers + g, r, placement) ]))
-    @ (if routers = 1 then []
-       else
-         List.init routers (fun r -> (r, (r + 1) mod routers, placement)))
+      (List.init servers (fun i ->
+           [ (0, i + 1, placement); (i + 1, 0, placement) ]))
   in
   let se =
     Shard_engine.create ~seed ?scheduler ?window ~channels
-      ~sources:(routers + servers) ~lookahead:placement ()
+      ~sources:(servers + 1) ~lookahead:placement ()
   in
-  make ~servers ~routing ~policy ~e2e ~topology ~cost ~keep_alive ~seed ~faults
+  let backend =
+    Sharded
+      {
+        se;
+        placement;
+        exec_shards = shards;
+        live_view = Array.make servers 0;
+        li = Load_index.create ~n:servers;
+        busy_view = Array.make servers 0;
+        pool_view = Hashtbl.create 16;
+      }
+  in
+  make ~servers ~policy ~e2e ~topology ~cost ~keep_alive ~seed ~faults
     ~recovery ~ull_count
-    ~backend:(Sharded { se; placement; exec_shards = shards })
-    ~router_count:routers
-    ~router_engine:(fun r -> Shard_engine.engine se r)
-    ~platform_engine:(fun i -> Shard_engine.engine se (routers + i))
+    ~engine:(Shard_engine.engine se 0)
+    ~backend
+    ~platform_engine:(fun i -> Shard_engine.engine se (i + 1))
 
 let server t i =
   if i < 0 || i >= server_count t then
     invalid_arg "Cluster.server: index out of range";
   t.platforms.(i)
 
-let routing t = t.routing
+let policy_name t = t.policy.Policy.label
 
-let policy_name t = t.routers.(0).r_policy.Policy.label
-
-let engine t = t.routers.(0).r_engine
+let engine t = t.engine
 
 let shard_engine t =
   match t.backend with Direct -> None | Sharded s -> Some s.se
 
 let shards t = match t.backend with Direct -> 1 | Sharded s -> s.exec_shards
 
-(* With one router the cluster registry IS router 0's registry (so
-   callers may keep incrementing through it); with several, a fresh
-   registry holding the per-router counter sums is built per call. *)
-let metrics t =
-  if Array.length t.routers = 1 then t.routers.(0).r_metrics
-  else begin
-    let merged = Metrics.create () in
-    Array.iter
-      (fun r ->
-        List.iter
-          (fun (name, v) -> Metrics.incr merged ~by:v name)
-          (Metrics.counters r.r_metrics))
-      t.routers;
-    merged
-  end
-
-let router_metrics t r =
-  if r < 0 || r >= router_count t then
-    invalid_arg "Cluster.router_metrics: index out of range";
-  t.routers.(r).r_metrics
+let metrics t = t.metrics
 
 let healthy t i =
   if i < 0 || i >= server_count t then
     invalid_arg "Cluster.healthy: index out of range";
   t.healthy.(i)
 
-let healthy_count t =
-  Array.fold_left (fun acc r -> acc + r.r_healthy_n) 0 t.routers
+let healthy_count t = t.healthy_n
 
-let pending_count t =
-  Array.fold_left (fun acc r -> acc + Queue.length r.r_pending) 0 t.routers
+let pending_count t = Queue.length t.pending
 
-let e2e_latencies t = t.routers.(0).r_e2e
+let e2e_latencies t = t.e2e
 
-let e2e_latencies_of t r =
-  if r < 0 || r >= router_count t then
-    invalid_arg "Cluster.e2e_latencies_of: index out of range";
-  t.routers.(r).r_e2e
-
-let log_push t r ~server ~slot =
-  if r.r_log_len = Array.length r.r_log then begin
-    let w = Array.make (2 * r.r_log_len) 0 in
-    Array.blit r.r_log 0 w 0 r.r_log_len;
-    r.r_log <- w
+let log_push t ~server ~slot =
+  if t.log_len = Array.length t.log then begin
+    let w = Array.make (2 * t.log_len) 0 in
+    Array.blit t.log 0 w 0 t.log_len;
+    t.log <- w
   end;
-  r.r_log.(r.r_log_len) <- (slot lsl t.srv_bits) lor server;
-  r.r_log_len <- r.r_log_len + 1
+  t.log.(t.log_len) <- (slot lsl t.srv_bits) lor server;
+  t.log_len <- t.log_len + 1
 
 (* All server registries intern the same functions in the same order
    ([register] fans out to every server), so any server's ids stand
@@ -722,81 +604,65 @@ let fn_vcpus t ~fn_id =
   (Function_def.Registry.def (Platform.registry t.platforms.(0)) fn_id)
     .Function_def.vcpus
 
-(* Keep a router's live mirror and its argmin index in lockstep. *)
-let set_live m li v =
-  m.m_live.(li) <- v;
-  Load_index.set m.m_li li v
+(* Keep the sharded live mirror and its argmin index in lockstep. *)
+let set_live s i v =
+  s.live_view.(i) <- v;
+  Load_index.set s.li i v
 
-let observe_e2e r ~arrival =
-  match r.r_e2e with
+let observe_e2e t ~arrival =
+  match t.e2e with
   | None -> ()
   | Some q ->
     Stats.Quantile.add q
-      (float_of_int (Time.to_ns (Engine.now r.r_engine) - Time.to_ns arrival)
+      (float_of_int (Time.to_ns (Engine.now t.engine) - Time.to_ns arrival)
       /. 1e3)
 
-let reject r ~reason ~name =
+let reject t ~reason ~name =
   let rejection =
-    { reason; function_name = name; at = Engine.now r.r_engine }
+    { reason; function_name = name; at = Engine.now t.engine }
   in
-  r.r_rejected <- rejection :: r.r_rejected;
-  Metrics.incr r.r_metrics
+  t.rejected <- rejection :: t.rejected;
+  Metrics.incr t.metrics
     (Printf.sprintf "cluster.rejections.%s" (reject_reason_name reason));
   Rejected rejection
-
-(* The believed warm-pool total over a router's (healthy) group for
-   [name]; a downed server's rows were zeroed on [mark_down], so the
-   sum already excludes it on sharded clusters. *)
-let group_warm_total t r ~name =
-  let sum = ref 0 in
-  for li = 0 to Array.length r.r_group - 1 do
-    sum := !sum + warm_of t r ~name li
-  done;
-  !sum
 
 (* Dispatching and claim resolution are mutually recursive: a
    dispatched claim can reject synchronously (Direct mode), whose
    [on_rejection] hook can emit further claims.  Claims therefore go
    through an explicit queue drained by one non-reentrant loop —
-   bounded work per event, no recursion depth to worry about.
-   [trigger_resolved] joins the group because a spill's delivery
-   callback re-enters it on the neighbor router. *)
+   bounded work per event, no recursion depth to worry about. *)
 
-(* Sharded placement: router [r] commits to local server [li] and the
-   trigger crosses the placement delay as a message; the server's
-   outcome (completion notification or a dry pool) crosses back the
-   same way, always to the owning router.  All router-side state — the
-   group completion log, mirrors, rejection log — mutates only on
-   [r]'s shard, in deterministic message-delivery order.  The
-   completion carries the arena slot, not a boxed record: the router
-   logs one packed int and materializes a record only for an explicit
-   [on_complete] subscriber. *)
-let rec dispatch_sharded t r s m ~name ~fn_id ~mode ~on_complete ~arrival li =
-  let g = r.r_group.(li) in
-  t.trigger_counts.(g) <- t.trigger_counts.(g) + 1;
-  set_live m li (m.m_live.(li) + 1);
+(* Sharded placement: the router commits to server [i] and the trigger
+   crosses the placement delay as a message; the server's outcome
+   (completion notification or a dry pool) crosses back the same way.
+   All router-side state — the completion log, mirrors, rejection log
+   — mutates only on shard 0, in deterministic message-delivery order.
+   The completion carries the arena slot, not a boxed record: the
+   router logs one packed int and materializes a record only for an
+   explicit [on_complete] subscriber. *)
+let rec dispatch_sharded t s ~name ~fn_id ~mode ~on_complete ~arrival i =
+  t.trigger_counts.(i) <- t.trigger_counts.(i) + 1;
+  set_live s i (s.live_view.(i) + 1);
   (match mode with
   | Platform.Warm _ ->
-    let row = pool_view_entry m ~servers:(Array.length r.r_group) name in
-    if row.(li) > 0 then row.(li) <- row.(li) - 1
+    let row = pool_view_entry s.pool_view ~servers:(server_count t) name in
+    if row.(i) > 0 then row.(i) <- row.(i) - 1
   | Platform.Cold | Platform.Restore -> ());
   let vc = fn_vcpus t ~fn_id in
-  m.m_busy.(li) <- m.m_busy.(li) + vc;
-  let platform = t.platforms.(g) in
-  let dst = Array.length t.routers + g in
-  let arrive = Time.add (Engine.now r.r_engine) s.placement in
-  Shard_engine.post s.se ~src:r.r_id ~dst ~at:arrive (fun server_engine ->
+  s.busy_view.(i) <- s.busy_view.(i) + vc;
+  let platform = t.platforms.(i) in
+  let arrive = Time.add (Engine.now t.engine) s.placement in
+  Shard_engine.post s.se ~src:0 ~dst:(i + 1) ~at:arrive (fun server_engine ->
       match
         Platform.trigger_id platform ~fn_id ~mode
           ~on_complete_slot:(fun slot ->
             (* server side, completion time: capture the pool size the
-               sandbox just returned to, then notify the owning
-               router *)
+               sandbox just returned to, then notify the router *)
             let pool_now = Platform.pool_size platform ~name in
             let done_at = Time.add (Engine.now server_engine) s.placement in
-            Shard_engine.post s.se ~src:dst ~dst:r.r_id ~at:done_at (fun _ ->
-                log_push t r ~server:g ~slot;
-                set_live m li (max 0 (m.m_live.(li) - 1));
+            Shard_engine.post s.se ~src:(i + 1) ~dst:0 ~at:done_at (fun _ ->
+                log_push t ~server:i ~slot;
+                set_live s i (max 0 (s.live_view.(i) - 1));
                 (* reconcile the pool mirror by conservation bounded
                    by ground truth: this completion freed exactly one
                    slot (already counted in [pool_now]), and a plain
@@ -804,16 +670,16 @@ let rec dispatch_sharded t r s m ~name ~fn_id ~mode ~on_complete ~arrival li =
                    dispatches still in flight, letting the router
                    over-commit a nearly-dry pool *)
                 let row =
-                  pool_view_entry m ~servers:(Array.length r.r_group) name
+                  pool_view_entry s.pool_view ~servers:(server_count t) name
                 in
-                row.(li) <- min (row.(li) + 1) pool_now;
-                m.m_busy.(li) <- max 0 (m.m_busy.(li) - vc);
-                observe_e2e r ~arrival;
+                row.(i) <- min (row.(i) + 1) pool_now;
+                s.busy_view.(i) <- max 0 (s.busy_view.(i) - vc);
+                observe_e2e t ~arrival;
                 (match on_complete with
                 | None -> ()
-                | Some f -> f (g, Platform.record_of_slot platform slot));
-                apply_claims t r
-                  (r.r_policy.Policy.on_completion r.r_view ~server:li)))
+                | Some f -> f (i, Platform.record_of_slot platform slot));
+                apply_claims t
+                  (t.policy.Policy.on_completion t.view ~server:i)))
           ()
       with
       | () -> ()
@@ -822,338 +688,211 @@ let rec dispatch_sharded t r s m ~name ~fn_id ~mode ~on_complete ~arrival li =
            later and records the typed rejection then *)
         let pool_now = Platform.pool_size platform ~name in
         let back_at = Time.add (Engine.now server_engine) s.placement in
-        Shard_engine.post s.se ~src:dst ~dst:r.r_id ~at:back_at (fun _ ->
-            set_live m li (max 0 (m.m_live.(li) - 1));
-            m.m_busy.(li) <- max 0 (m.m_busy.(li) - vc);
+        Shard_engine.post s.se ~src:(i + 1) ~dst:0 ~at:back_at (fun _ ->
+            set_live s i (max 0 (s.live_view.(i) - 1));
+            s.busy_view.(i) <- max 0 (s.busy_view.(i) - vc);
             (* no slot was freed; the pool proved dry, so cap the
                mirror at the observed truth *)
             let row =
-              pool_view_entry m ~servers:(Array.length r.r_group) name
+              pool_view_entry s.pool_view ~servers:(server_count t) name
             in
-            row.(li) <- min row.(li) pool_now;
-            ignore (reject r ~reason:No_warm_capacity ~name);
-            apply_claims t r
-              (r.r_policy.Policy.on_rejection r.r_view ~server:li)));
-  Accepted g
+            row.(i) <- min row.(i) pool_now;
+            ignore (reject t ~reason:No_warm_capacity ~name);
+            apply_claims t (t.policy.Policy.on_rejection t.view ~server:i)));
+  Accepted i
 
-and dispatch_direct t r ~name ~fn_id ~mode ~on_complete ~arrival li =
-  let g = r.r_group.(li) in
-  let platform = t.platforms.(g) in
+and dispatch_direct t ~name ~fn_id ~mode ~on_complete ~arrival i =
+  let platform = t.platforms.(i) in
   match
     Platform.trigger_id platform ~fn_id ~mode
       ~on_complete_slot:(fun slot ->
-        log_push t r ~server:g ~slot;
-        observe_e2e r ~arrival;
+        log_push t ~server:i ~slot;
+        observe_e2e t ~arrival;
         (match on_complete with
         | None -> ()
-        | Some f -> f (g, Platform.record_of_slot platform slot));
-        apply_claims t r (r.r_policy.Policy.on_completion r.r_view ~server:li))
+        | Some f -> f (i, Platform.record_of_slot platform slot));
+        apply_claims t (t.policy.Policy.on_completion t.view ~server:i))
       ()
   with
   | () ->
-    t.trigger_counts.(g) <- t.trigger_counts.(g) + 1;
-    Accepted g
+    t.trigger_counts.(i) <- t.trigger_counts.(i) + 1;
+    Accepted i
   | exception Platform.No_warm_sandbox _ ->
     (* a typed rejection, not an exception escaping the router: the
        chosen server's pool (and, with degradation off, the whole
        attempt) came up dry *)
-    let out = reject r ~reason:No_warm_capacity ~name in
-    apply_claims t r (r.r_policy.Policy.on_rejection r.r_view ~server:li);
-    out
+    let r = reject t ~reason:No_warm_capacity ~name in
+    apply_claims t (t.policy.Policy.on_rejection t.view ~server:i);
+    r
 
-and dispatch t r ~name ~fn_id ~mode ~on_complete ~arrival li =
-  match (t.backend, r.r_mirror) with
-  | Sharded s, Some m ->
-    dispatch_sharded t r s m ~name ~fn_id ~mode ~on_complete ~arrival li
-  | (Direct | Sharded _), _ ->
-    dispatch_direct t r ~name ~fn_id ~mode ~on_complete ~arrival li
+and dispatch t ~name ~fn_id ~mode ~on_complete ~arrival i =
+  match t.backend with
+  | Sharded s -> dispatch_sharded t s ~name ~fn_id ~mode ~on_complete ~arrival i
+  | Direct -> dispatch_direct t ~name ~fn_id ~mode ~on_complete ~arrival i
 
-and apply_claims t r claimants =
-  List.iter (fun li -> Queue.push li r.r_claims) claimants;
-  if not r.r_draining then begin
-    r.r_draining <- true;
+and apply_claims t claimants =
+  List.iter (fun i -> Queue.push i t.claims) claimants;
+  if not t.draining then begin
+    t.draining <- true;
     Fun.protect
-      ~finally:(fun () -> r.r_draining <- false)
+      ~finally:(fun () -> t.draining <- false)
       (fun () ->
-        while not (Queue.is_empty r.r_claims) do
-          let li = Queue.pop r.r_claims in
-          if not t.healthy.(r.r_group.(li)) then ()
+        while not (Queue.is_empty t.claims) do
+          let i = Queue.pop t.claims in
+          if not t.healthy.(i) then ()
             (* a claim that raced a blackout: dropped (its token died
                with the server's health transition) *)
-          else if Queue.is_empty r.r_pending then
-            r.r_policy.Policy.on_claim_unused ~server:li
+          else if Queue.is_empty t.pending then
+            t.policy.Policy.on_claim_unused ~server:i
           else begin
-            let p = Queue.pop r.r_pending in
+            let p = Queue.pop t.pending in
             ignore
-              (dispatch t r ~name:p.pt_name ~fn_id:p.pt_fn_id ~mode:p.pt_mode
-                 ~on_complete:p.pt_on_complete ~arrival:p.pt_arrival li)
+              (dispatch t ~name:p.pt_name ~fn_id:p.pt_fn_id ~mode:p.pt_mode
+                 ~on_complete:p.pt_on_complete ~arrival:p.pt_arrival i)
           end
         done)
   end
-
-(* Route one trigger on router [r]'s timeline.  [hops] counts spill
-   forwards already taken: a trigger may cross at most [R - 1] ring
-   links, so the last router in the walk always handles it locally
-   (placing, queueing or rejecting exactly as a single-router cluster
-   would).  Spill fires when the group has no healthy server, or when
-   a warm trigger finds the group's believed warm pools dry — the
-   blacked-out and dry cases of the protocol; [arrival] stays the
-   original ingress time, so end-to-end latency charges the hop. *)
-and trigger_resolved t r ~hops ~name ~fn_id ~mode ~on_complete ~arrival =
-  let spill_ok = hops < Array.length t.routers - 1 in
-  if r.r_healthy_n = 0 then
-    if spill_ok then spill t r ~hops ~name ~fn_id ~mode ~on_complete ~arrival
-    else reject r ~reason:All_servers_down ~name
-  else begin
-    r.r_view_name <- name;
-    let needs_pool =
-      match mode with
-      | Platform.Warm _ -> true
-      | Platform.Cold | Platform.Restore -> false
-    in
-    if spill_ok && needs_pool && group_warm_total t r ~name = 0 then
-      spill t r ~hops ~name ~fn_id ~mode ~on_complete ~arrival
-    else
-      match
-        r.r_policy.Policy.decide r.r_view ~vcpus:(fn_vcpus t ~fn_id)
-          ~needs_pool
-      with
-      | Policy.Assign li ->
-        dispatch t r ~name ~fn_id ~mode ~on_complete ~arrival li
-      | Policy.Enqueue ->
-        Queue.push
-          {
-            pt_name = name;
-            pt_fn_id = fn_id;
-            pt_mode = mode;
-            pt_on_complete = on_complete;
-            pt_arrival = arrival;
-          }
-          r.r_pending;
-        Queued
-  end
-
-and spill t r ~hops ~name ~fn_id ~mode ~on_complete ~arrival =
-  let s =
-    match t.backend with
-    | Sharded s -> s
-    | Direct -> assert false (* Direct is single-router: spill_ok is false *)
-  in
-  let nxt = t.routers.((r.r_id + 1) mod Array.length t.routers) in
-  Metrics.incr r.r_metrics "cluster.spills";
-  let at = Time.add (Engine.now r.r_engine) s.placement in
-  Shard_engine.post s.se ~src:r.r_id ~dst:nxt.r_id ~at (fun _ ->
-      ignore
-        (trigger_resolved t nxt ~hops:(hops + 1) ~name ~fn_id ~mode
-           ~on_complete ~arrival));
-  Forwarded nxt.r_id
 
 let mark_down t i =
   if i < 0 || i >= server_count t then
     invalid_arg "Cluster.mark_down: index out of range";
   if t.healthy.(i) then begin
-    let r = t.routers.(t.owner.(i)) in
-    let li = t.local_ix.(i) in
     t.healthy.(i) <- false;
-    r.r_healthy_n <- r.r_healthy_n - 1;
-    (match r.r_mirror with
-    | None -> ()
-    | Some m ->
+    t.healthy_n <- t.healthy_n - 1;
+    (match t.backend with
+    | Direct -> ()
+    | Sharded s ->
       (* the router knows the blackout wipes the server: reset its
          mirrors so routing stops preferring the dead pools the moment
          the server is marked down *)
-      set_live m li 0;
-      Load_index.remove m.m_li li;
-      m.m_busy.(li) <- 0;
-      Hashtbl.iter (fun _ row -> row.(li) <- 0) m.m_pool);
-    apply_claims t r
-      (r.r_policy.Policy.on_health_change r.r_view ~server:li ~up:false)
+      set_live s i 0;
+      Load_index.remove s.li i;
+      s.busy_view.(i) <- 0;
+      Hashtbl.iter (fun _ row -> row.(i) <- 0) s.pool_view);
+    apply_claims t (t.policy.Policy.on_health_change t.view ~server:i ~up:false)
   end
 
 let mark_up t i =
   if i < 0 || i >= server_count t then
     invalid_arg "Cluster.mark_up: index out of range";
   if not t.healthy.(i) then begin
-    let r = t.routers.(t.owner.(i)) in
-    let li = t.local_ix.(i) in
     t.healthy.(i) <- true;
-    r.r_healthy_n <- r.r_healthy_n + 1;
-    (match r.r_mirror with None -> () | Some m -> Load_index.add m.m_li li);
-    apply_claims t r
-      (r.r_policy.Policy.on_health_change r.r_view ~server:li ~up:true)
+    t.healthy_n <- t.healthy_n + 1;
+    (match t.backend with
+    | Direct -> ()
+    | Sharded s -> Load_index.add s.li i);
+    apply_claims t (t.policy.Policy.on_health_change t.view ~server:i ~up:true)
   end
 
 let register t fn =
   Array.iter (fun p -> Platform.register p fn) t.platforms;
-  Array.iter
-    (fun r ->
-      match r.r_mirror with
-      | None -> ()
-      | Some m ->
-        ignore
-          (pool_view_entry m
-             ~servers:(Array.length r.r_group)
-             fn.Function_def.name))
-    t.routers
+  match t.backend with
+  | Direct -> ()
+  | Sharded s ->
+    ignore
+      (pool_view_entry s.pool_view ~servers:(server_count t)
+         fn.Function_def.name)
 
 let sync_pool_view t ~name =
-  Array.iter
-    (fun r ->
-      match r.r_mirror with
-      | None -> ()
-      | Some m ->
-        let row = pool_view_entry m ~servers:(Array.length r.r_group) name in
-        Array.iteri
-          (fun li g -> row.(li) <- Platform.pool_size t.platforms.(g) ~name)
-          r.r_group)
-    t.routers
+  match t.backend with
+  | Direct -> ()
+  | Sharded s ->
+    let row = pool_view_entry s.pool_view ~servers:(server_count t) name in
+    Array.iteri
+      (fun i p -> row.(i) <- Platform.pool_size p ~name)
+      t.platforms
 
-let provision ?router t ~name ~total ~strategy =
-  let r =
-    match router with
-    | Some ri ->
-      if ri < 0 || ri >= router_count t then
-        invalid_arg "Cluster.provision: router out of range";
-      t.routers.(ri)
-    | None -> t.routers.(router_of_fn t ~fn_id:(fn_id t ~name))
-  in
-  let size = Array.length r.r_group in
+let provision t ~name ~total ~strategy =
   for i = 0 to total - 1 do
-    let li = i mod size in
-    Platform.provision t.platforms.(r.r_group.(li)) ~name ~count:1 ~strategy;
-    r.r_policy.Policy.on_provision ~server:li ~count:1
+    let srv = i mod server_count t in
+    Platform.provision t.platforms.(srv) ~name ~count:1 ~strategy;
+    t.policy.Policy.on_provision ~server:srv ~count:1
   done;
-  (* pre-run setup on the coordinating domain: refresh every router's
+  (* pre-run setup on the coordinating domain: refresh the router's
      mirror from the actual pools before any window runs *)
   sync_pool_view t ~name
 
 let pool_size t ~name =
   Array.fold_left (fun acc p -> acc + Platform.pool_size p ~name) 0 t.platforms
 
-(* Entry point shared by [trigger] and [trigger_id].  Un-pinned
-   triggers land on the function's affine router with the full spill
-   budget; [?router]-pinned triggers (the workflow stepper, which owns
-   per-router state keyed to that id) never spill, so their completion
-   always comes back on the pinned timeline. *)
-let resolve_entry t ~router ~name ~fn_id ~mode ~on_complete =
-  let rc = Array.length t.routers in
-  match router with
-  | Some ri ->
-    if ri < 0 || ri >= rc then
-      invalid_arg "Cluster.trigger: router out of range";
-    let r = t.routers.(ri) in
-    trigger_resolved t r ~hops:(rc - 1) ~name ~fn_id ~mode ~on_complete
-      ~arrival:(Engine.now r.r_engine)
-  | None ->
-    let r = t.routers.(router_of_fn t ~fn_id) in
-    trigger_resolved t r ~hops:0 ~name ~fn_id ~mode ~on_complete
-      ~arrival:(Engine.now r.r_engine)
+let trigger_resolved t ~name ~fn_id ~mode ~on_complete =
+  if t.healthy_n = 0 then reject t ~reason:All_servers_down ~name
+  else begin
+    t.view_name <- name;
+    let needs_pool =
+      match mode with
+      | Platform.Warm _ -> true
+      | Platform.Cold | Platform.Restore -> false
+    in
+    let arrival = Engine.now t.engine in
+    match
+      t.policy.Policy.decide t.view ~vcpus:(fn_vcpus t ~fn_id) ~needs_pool
+    with
+    | Policy.Assign i -> dispatch t ~name ~fn_id ~mode ~on_complete ~arrival i
+    | Policy.Enqueue ->
+      Queue.push
+        {
+          pt_name = name;
+          pt_fn_id = fn_id;
+          pt_mode = mode;
+          pt_on_complete = on_complete;
+          pt_arrival = arrival;
+        }
+        t.pending;
+      Queued
+  end
 
-let trigger ?router t ~name ~mode ?on_complete () =
+let trigger t ~name ~mode ?on_complete () =
   (* resolve the id up front so an unknown function raises before any
      routing side effects, exactly as the per-name path always did *)
   let fn_id = fn_id t ~name in
-  resolve_entry t ~router ~name ~fn_id ~mode ~on_complete
+  trigger_resolved t ~name ~fn_id ~mode ~on_complete
 
-let trigger_id ?router t ~fn_id ~mode ?on_complete () =
+let trigger_id t ~fn_id ~mode ?on_complete () =
   let name = function_name t ~fn_id in
-  resolve_entry t ~router ~name ~fn_id ~mode ~on_complete
+  trigger_resolved t ~name ~fn_id ~mode ~on_complete
 
 (* Batched ingestion: walk the (sorted) batch through a windowed
-   cursor per router — each row lands on its function's affine
-   router's engine.  Each refill pre-schedules the next [window]
-   arrivals of that router in batch order — the refill event for the
+   cursor.  Each refill pre-schedules the next [window] arrivals on
+   the router engine in batch order — the refill event for the
    window's boundary instant is scheduled {e before} the boundary
    trigger itself, so under the engine's FIFO tie-break the next
    window is enqueued before the boundary trigger fires and arrivals
-   always fire in batch order.  Each event queue therefore holds at
+   always fire in batch order.  The event queue therefore holds at
    most [window] pending arrivals instead of the whole trace. *)
 let schedule_batch ?(window = 4096) ?on_complete t batch =
   if window < 1 then invalid_arg "Cluster.schedule_batch: window < 1";
   if not (Batch.sorted batch) then
     invalid_arg "Cluster.schedule_batch: batch not sorted";
   let n = Batch.length batch in
-  let fire r k =
+  let base = Engine.now t.engine in
+  let fire k =
     let fn_id = Batch.fn_id batch k in
     let mode = Platform.mode_of_code (Batch.payload batch k) in
     ignore
-      (trigger_resolved t r ~hops:0
+      (trigger_resolved t
          ~name:(function_name t ~fn_id)
-         ~fn_id ~mode ~on_complete
-         ~arrival:(Engine.now r.r_engine))
+         ~fn_id ~mode ~on_complete)
   in
-  let rc = Array.length t.routers in
-  if rc = 1 then begin
-    (* the single-router fast path walks the batch in place, exactly
-       the historical cursor *)
-    let r = t.routers.(0) in
-    let base = Engine.now r.r_engine in
-    let rec refill start =
-      if start < n then begin
-        let stop = min n (start + window) in
-        (* next refill first: it shares the boundary trigger's instant
-           and must win the FIFO tie *)
-        if stop < n then
-          ignore
-            (Engine.schedule_at r.r_engine
-               ~at:
-                 (Time.add base (Time.span_ns (Batch.time_ns batch (stop - 1))))
-               (fun _ -> refill stop));
-        for k = start to stop - 1 do
-          ignore
-            (Engine.schedule_at r.r_engine
-               ~at:(Time.add base (Time.span_ns (Batch.time_ns batch k)))
-               (fun _ -> fire r k))
-        done
-      end
-    in
-    refill 0
-  end
-  else begin
-    (* pre-compute each router's row-index slice (batch order within a
-       slice is global order restricted to that router), then run the
-       same windowed cursor per router on its own engine *)
-    let counts = Array.make rc 0 in
-    for k = 0 to n - 1 do
-      let r = router_of_fn t ~fn_id:(Batch.fn_id batch k) in
-      counts.(r) <- counts.(r) + 1
-    done;
-    let rows = Array.map (fun c -> Array.make (max 1 c) 0) counts in
-    let fill = Array.make rc 0 in
-    for k = 0 to n - 1 do
-      let r = router_of_fn t ~fn_id:(Batch.fn_id batch k) in
-      rows.(r).(fill.(r)) <- k;
-      fill.(r) <- fill.(r) + 1
-    done;
-    Array.iteri
-      (fun ri rows ->
-        let m = counts.(ri) in
-        if m > 0 then begin
-          let r = t.routers.(ri) in
-          let base = Engine.now r.r_engine in
-          let rec refill start =
-            if start < m then begin
-              let stop = min m (start + window) in
-              if stop < m then
-                ignore
-                  (Engine.schedule_at r.r_engine
-                     ~at:
-                       (Time.add base
-                          (Time.span_ns (Batch.time_ns batch rows.(stop - 1))))
-                     (fun _ -> refill stop));
-              for j = start to stop - 1 do
-                let k = rows.(j) in
-                ignore
-                  (Engine.schedule_at r.r_engine
-                     ~at:(Time.add base (Time.span_ns (Batch.time_ns batch k)))
-                     (fun _ -> fire r k))
-              done
-            end
-          in
-          refill 0
-        end)
-      rows
-  end
+  let rec refill start =
+    if start < n then begin
+      let stop = min n (start + window) in
+      (* next refill first: it shares the boundary trigger's instant
+         and must win the FIFO tie *)
+      if stop < n then
+        ignore
+          (Engine.schedule_at t.engine
+             ~at:(Time.add base (Time.span_ns (Batch.time_ns batch (stop - 1))))
+             (fun _ -> refill stop));
+      for k = start to stop - 1 do
+        ignore
+          (Engine.schedule_at t.engine
+             ~at:(Time.add base (Time.span_ns (Batch.time_ns batch k)))
+             (fun _ -> fire k))
+      done
+    end
+  in
+  refill 0
 
 let schedule_faults t ~horizon =
   let outages =
@@ -1161,55 +900,52 @@ let schedule_faults t ~horizon =
   in
   (match t.backend with
   | Direct ->
-    let r = t.routers.(0) in
     List.iter
       (fun (server, start, outage) ->
         ignore
-          (Engine.schedule r.r_engine ~after:start (fun _ ->
+          (Engine.schedule t.engine ~after:start (fun _ ->
                mark_down t server;
                let lost = Platform.blackout t.platforms.(server) in
-               Metrics.incr r.r_metrics "cluster.blackouts";
-               Metrics.incr r.r_metrics ~by:lost "cluster.blackout_lost"));
+               Metrics.incr t.metrics "cluster.blackouts";
+               Metrics.incr t.metrics ~by:lost "cluster.blackout_lost"));
         let back_at =
           Time.span_ns (Time.span_to_ns start + Time.span_to_ns outage)
         in
         ignore
-          (Engine.schedule r.r_engine ~after:back_at (fun _ ->
+          (Engine.schedule t.engine ~after:back_at (fun _ ->
                mark_up t server;
-               Metrics.incr r.r_metrics "cluster.recoveries")))
+               Metrics.incr t.metrics "cluster.recoveries")))
       outages
   | Sharded s ->
     (* the whole outage schedule is known up front (blackout schedule
        lead time), so the server-side blackout command is posted
        directly at the outage instant — no lookahead slack needed
-       beyond the pre-run horizon — while the owning router flips
-       health on its own timeline at the same instants *)
+       beyond the pre-run horizon — while the router flips health on
+       its own timeline at the same instants *)
     List.iter
       (fun (server, start, outage) ->
-        let r = t.routers.(t.owner.(server)) in
-        let dst = Array.length t.routers + server in
-        let down_at = Time.add (Engine.now r.r_engine) start in
+        let down_at = Time.add (Engine.now t.engine) start in
         ignore
-          (Engine.schedule_at r.r_engine ~at:down_at (fun _ ->
+          (Engine.schedule_at t.engine ~at:down_at (fun _ ->
                mark_down t server;
-               Metrics.incr r.r_metrics "cluster.blackouts"));
-        Shard_engine.post s.se ~src:r.r_id ~dst ~at:down_at
+               Metrics.incr t.metrics "cluster.blackouts"));
+        Shard_engine.post s.se ~src:0 ~dst:(server + 1) ~at:down_at
           (fun server_engine ->
             let lost = Platform.blackout t.platforms.(server) in
             let note_at = Time.add (Engine.now server_engine) s.placement in
-            Shard_engine.post s.se ~src:dst ~dst:r.r_id ~at:note_at (fun _ ->
-                Metrics.incr r.r_metrics ~by:lost "cluster.blackout_lost"));
+            Shard_engine.post s.se ~src:(server + 1) ~dst:0 ~at:note_at
+              (fun _ -> Metrics.incr t.metrics ~by:lost "cluster.blackout_lost"));
         let up_at = Time.add down_at outage in
         ignore
-          (Engine.schedule_at r.r_engine ~at:up_at (fun _ ->
+          (Engine.schedule_at t.engine ~at:up_at (fun _ ->
                mark_up t server;
-               Metrics.incr r.r_metrics "cluster.recoveries")))
+               Metrics.incr t.metrics "cluster.recoveries")))
       outages);
   List.length outages
 
 let run ?until t =
   match t.backend with
-  | Direct -> Engine.run ?until (engine t)
+  | Direct -> Engine.run ?until t.engine
   | Sharded s ->
     let executor =
       if s.exec_shards <= 1 then None
@@ -1224,57 +960,41 @@ let run ?until t =
     in
     Shard_engine.run ?until ~shards:s.exec_shards ?executor s.se
 
-let record_count t =
-  Array.fold_left (fun acc r -> acc + r.r_log_len) 0 t.routers
+let record_count t = t.log_len
 
 let iter_records t f =
   let mask = (1 lsl t.srv_bits) - 1 in
-  Array.iter
-    (fun r ->
-      for k = 0 to r.r_log_len - 1 do
-        let packed = r.r_log.(k) in
-        f (packed land mask) (packed lsr t.srv_bits)
-      done)
-    t.routers
+  for k = 0 to t.log_len - 1 do
+    let packed = t.log.(k) in
+    f (packed land mask) (packed lsr t.srv_bits)
+  done
 
 let fold_records t ~init ~f =
   let mask = (1 lsl t.srv_bits) - 1 in
   let acc = ref init in
-  Array.iter
-    (fun r ->
-      for k = 0 to r.r_log_len - 1 do
-        let packed = r.r_log.(k) in
-        acc := f !acc (packed land mask) (packed lsr t.srv_bits)
-      done)
-    t.routers;
+  for k = 0 to t.log_len - 1 do
+    let packed = t.log.(k) in
+    acc := f !acc (packed land mask) (packed lsr t.srv_bits)
+  done;
   !acc
 
-(* Compatibility shim over the packed logs, memoized on total length
-   (each log is append-only), like [Platform.records].  Router-major:
-   router 0's completions in observed order, then router 1's, … —
-   identical to the historical single list when [routers = 1]. *)
+(* Compatibility shim over the packed log, memoized on log length
+   (the log is append-only), like [Platform.records]. *)
 let records t =
-  let total = record_count t in
-  if total <> t.records_cache_len then begin
+  if t.log_len <> t.records_cache_len then begin
     let mask = (1 lsl t.srv_bits) - 1 in
     let l = ref [] in
-    for ri = Array.length t.routers - 1 downto 0 do
-      let r = t.routers.(ri) in
-      for k = r.r_log_len - 1 downto 0 do
-        let packed = r.r_log.(k) in
-        let server = packed land mask and slot = packed lsr t.srv_bits in
-        l := (server, Platform.record_of_slot t.platforms.(server) slot) :: !l
-      done
+    for k = t.log_len - 1 downto 0 do
+      let packed = t.log.(k) in
+      let server = packed land mask and slot = packed lsr t.srv_bits in
+      l := (server, Platform.record_of_slot t.platforms.(server) slot) :: !l
     done;
     t.records_cache <- !l;
-    t.records_cache_len <- total
+    t.records_cache_len <- t.log_len
   end;
   t.records_cache
 
-let rejections t =
-  List.concat_map
-    (fun r -> List.rev r.r_rejected)
-    (Array.to_list t.routers)
+let rejections t = List.rev t.rejected
 
 let live_invocations t =
   Array.fold_left (fun acc p -> acc + Platform.live_invocations p) 0 t.platforms

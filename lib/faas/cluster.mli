@@ -1,28 +1,15 @@
 (** A multi-server FaaS deployment: several {!Platform}s (one
-    hypervisor each) behind a partitioned router plane.
+    hypervisor each) behind a front-end router.
 
     The paper evaluates a single server; real provisioned concurrency
     spreads the warm pool across a fleet.  A cluster built with
     {!create} shares one simulation engine, so cross-server timelines
     stay coherent; one built with {!create_sharded} partitions the run
-    over a {!Horse_sim.Shard_engine} — router [r] of [routers] is
-    logical shard [r], server [g] is shard [routers + g], and every
-    router<->server interaction crosses a placement delay as a
-    deterministic cross-shard message, which lets {!run} drain the
-    routers and servers on multiple domains while staying
-    bit-identical to the sequential run.
-
-    With [routers > 1] the control plane itself is partitioned:
-    functions map to routers by a deterministic hash of their dense
-    registry id ({!router_of_fn}), router [r] owns the disjoint server
-    group [{ g | g mod routers = r }] with its own mirrors, load
-    index, pending queue and policy instance, and the routers form a
-    directed spill ring — a trigger arriving at a router whose group
-    is fully down, or dry of warm pools for a warm trigger, is
-    forwarded to the next router over a declared router<->router
-    channel (at most [routers - 1] hops) rather than rejected.
-    [routers = 1] degenerates byte-for-byte to the historical
-    single-router cluster.
+    over a {!Horse_sim.Shard_engine} — the router is logical shard 0,
+    server [i] is shard [i + 1], and every router<->server interaction
+    crosses a placement delay as a deterministic cross-shard message,
+    which lets {!run} drain the servers on multiple domains while
+    staying bit-identical to the sequential run.
 
     Each trigger is placed by a pluggable scheduling policy
     ({!Policy}).  The built-ins:
@@ -60,16 +47,11 @@ type rejection = {
 }
 
 type outcome =
-  | Accepted of int  (** (global) server index *)
+  | Accepted of int  (** server index *)
   | Rejected of rejection
   | Queued
       (** the policy deferred placement; the trigger waits in the
           router-side queue until a server claims it (pull policy) *)
-  | Forwarded of int
-      (** multi-router only: the receiving router's group was fully
-          down (or dry for a warm trigger) and the trigger was spilled
-          to this neighbor router over the ring; its final outcome
-          resolves there, one hop delay later *)
 
 (** The scheduling-policy interface (the tentpole of the cluster's
     routing layer).  A policy is a recipe ({!t}) instantiated once per
@@ -175,7 +157,6 @@ type t
 
 val create :
   ?servers:int ->
-  ?routing:routing ->
   ?policy:Policy.t ->
   ?e2e:bool ->
   ?topology:Horse_cpu.Topology.t ->
@@ -188,12 +169,12 @@ val create :
   engine:Horse_sim.Engine.t ->
   unit ->
   t
-(** Defaults: 4 servers, [Warm_first] routing, each server an r650
-    with one ull_runqueue, an inert fault plan, legacy (no-op)
-    recovery.  [policy] overrides the scheduling policy (default
-    [Policy.push ~routing ()], the legacy router).  [e2e] (default
-    off) turns on the router-side end-to-end latency estimator
-    ({!e2e_latencies}).  Each server's platform gets its own plan
+(** Defaults: 4 servers, each server an r650 with one ull_runqueue,
+    an inert fault plan, legacy (no-op) recovery.  [policy] is the
+    scheduling policy (default [Policy.push ()], the legacy
+    [Warm_first] router; pass [Policy.push ~routing ()] for another
+    push routing).  [e2e] (default off) turns on the router-side
+    end-to-end latency estimator ({!e2e_latencies}).  Each server's platform gets its own plan
     derived from [faults] by server index, so per-server fault
     sequences are independent of routing order; the cluster-level plan
     drives the {!schedule_faults} blackout schedule and counts its
@@ -207,7 +188,6 @@ val create :
 
 val create_sharded :
   ?servers:int ->
-  ?routing:routing ->
   ?policy:Policy.t ->
   ?e2e:bool ->
   ?topology:Horse_cpu.Topology.t ->
@@ -221,15 +201,12 @@ val create_sharded :
   ?shards:int ->
   ?scheduler:Horse_sim.Shard_engine.scheduler ->
   ?window:Horse_sim.Time_ns.span ->
-  ?routers:int ->
   unit ->
   t
 (** Like {!create}, but the cluster owns a {!Horse_sim.Shard_engine}
-    with [routers + servers] logical shards whose channel matrix
-    mirrors the topology: one channel per router<->server direction
-    carrying [placement] (the placement latency, default 50us) between
-    each server and its owning router, a directed spill ring
-    [r -> (r + 1) mod routers] when [routers > 1], and no
+    with [servers + 1] logical shards whose channel matrix mirrors the
+    topology: one channel per router<->server direction carrying
+    [placement] (the placement latency, default 50us), and no
     server<->server channels, so the adaptive scheduler bounds each
     shard by its tightest relevant inbound link.  [scheduler]
     (default [Adaptive]) and [window] pass through to
@@ -237,68 +214,28 @@ val create_sharded :
     epoch scheme and is kept as the epoch-semantics oracle.  [shards]
     (default 1) is the number of execution strands {!run} uses —
     purely an execution-placement choice, results are bit-identical
-    for every value and every scheduler.  [routers] (default 1)
-    partitions the control plane itself; results are deterministic for
-    every value, and bit-identical across [shards], [scheduler] and
-    execution placement at any fixed [routers].  Each router routes
-    from its own mirrors of its group's live-load, busy-vCPU and pool
-    sizes, updated only by the cross-shard message protocol: a trigger
-    optimistically debits the mirrors, the server's completion (or
-    dry-pool rejection) notification reconciles them one placement
-    delay later.  Pull-policy claims ride the same protocol: the claim
-    is resolved on the owning router's timeline and the claimed
-    trigger crosses one placement delay to the claiming server.
-    @raise Invalid_argument if [servers <= 0], [shards < 1],
-    [routers < 1] or [routers > servers]. *)
-
-val router_count : t -> int
-(** Router shards in the control plane (1 for {!create} clusters). *)
-
-val router_of_fn : t -> fn_id:int -> int
-(** The router owning a function: a deterministic multiplicative hash
-    of the dense id modulo {!router_count} (always 0 when
-    [router_count = 1]), so Zipf-popular functions spread across the
-    plane.  Un-pinned triggers for the function enter here. *)
-
-val router_of_server : t -> int -> int
-(** The router owning a server ([server mod router_count]).
-    @raise Invalid_argument on an out-of-range index. *)
-
-val router_engine : t -> int -> Horse_sim.Engine.t
-(** Router [r]'s engine (logical shard [r] of a sharded cluster).
-    Schedule arrivals bound for router [r] here; {!engine} is router
-    0's.  @raise Invalid_argument on an out-of-range index. *)
-
-val router_servers : t -> int -> int array
-(** The (global, ascending) server indices of router [r]'s group.
-    @raise Invalid_argument on an out-of-range index. *)
-
-val router_metrics : t -> int -> Horse_sim.Metrics.t
-(** Router [r]'s own counter registry (see {!metrics} for the merged
-    view).  @raise Invalid_argument on an out-of-range index. *)
-
-val e2e_latencies_of : t -> int -> Horse_sim.Stats.Quantile.t option
-(** Router [r]'s end-to-end latency estimator (the stream of triggers
-    that {e completed} on router [r]'s timeline — including any it
-    received over the spill ring).  [None] when [e2e] is off.
-    @raise Invalid_argument on an out-of-range index. *)
+    for every value and every scheduler.  The router routes from its own
+    mirrors of per-server live-load, busy-vCPU and pool sizes, updated
+    only by the cross-shard message protocol: a trigger optimistically
+    debits the mirrors, the server's completion (or dry-pool
+    rejection) notification reconciles them one placement delay later.
+    Pull-policy claims ride the same protocol: the claim is resolved
+    on the router timeline and the claimed trigger crosses one
+    placement delay to the claiming server.
+    @raise Invalid_argument if [servers <= 0] or [shards < 1]. *)
 
 val server_count : t -> int
 
 val server : t -> int -> Platform.t
 (** @raise Invalid_argument on an out-of-range index. *)
 
-val routing : t -> routing
-
 val policy_name : t -> string
 (** The instantiated policy's label (e.g. ["push-warm-first"],
     ["pull"], ["core"]). *)
 
 val engine : t -> Horse_sim.Engine.t
-(** Router 0's engine: the engine passed to {!create}, or logical
-    shard 0 of a sharded cluster.  Schedule workload arrivals here
-    (the only router when [router_count = 1]; see {!router_engine}
-    otherwise). *)
+(** The router's engine: the engine passed to {!create}, or logical
+    shard 0 of a sharded cluster.  Schedule workload arrivals here. *)
 
 val shard_engine : t -> Horse_sim.Shard_engine.t option
 (** The shard engine of a {!create_sharded} cluster ([None] for
@@ -310,11 +247,8 @@ val shards : t -> int
 
 val metrics : t -> Horse_sim.Metrics.t
 (** Fleet-level counters: [cluster.rejections.<reason>],
-    [cluster.blackouts], [cluster.blackout_lost], [cluster.recoveries],
-    [cluster.spills].  With one router this {e is} the router's live
-    registry; with several it is a fresh registry holding the
-    per-router sums, rebuilt per call (see {!router_metrics} for one
-    router's live registry). *)
+    [cluster.blackouts], [cluster.blackout_lost],
+    [cluster.recoveries]. *)
 
 val healthy : t -> int -> bool
 (** @raise Invalid_argument on an out-of-range index. *)
@@ -326,12 +260,10 @@ val pending_count : t -> int
     for a claim.  Always 0 under the push and core policies. *)
 
 val e2e_latencies : t -> Horse_sim.Stats.Quantile.t option
-(** With [~e2e:true], router 0's end-to-end latency stream in
+(** With [~e2e:true], the router-observed end-to-end latency stream in
     microseconds — arrival at the router to completion notification
-    (including queueing, placement and spill delays and the recovery
-    ladder), tracked at p50/p99/p999.  The whole fleet's stream when
-    [router_count = 1]; use {!e2e_latencies_of} for the other routers
-    of a partitioned plane.  [None] when [e2e] is off. *)
+    (including queueing, placement delays and the recovery ladder),
+    tracked at p50/p99/p999.  [None] when [e2e] is off. *)
 
 val mark_down : t -> int -> unit
 (** Exclude a server from routing (as a blackout does).  Exposed for
@@ -353,56 +285,34 @@ val function_name : t -> fn_id:int -> string
 (** @raise Invalid_argument on an unknown id. *)
 
 val provision :
-  ?router:int ->
-  t ->
-  name:string ->
-  total:int ->
-  strategy:Horse_vmm.Sandbox.strategy ->
-  unit
+  t -> name:string -> total:int -> strategy:Horse_vmm.Sandbox.strategy -> unit
 (** Park [total] warm sandboxes for [name], spread round-robin across
-    the owning router's server group (the whole fleet when
-    [router_count = 1]; that router's policy instance observes each
-    through [on_provision]).  The owner defaults to {!router_of_fn};
-    [?router] overrides it — the workflow stepper parks a DAG's pools
-    on its root function's router.
-    @raise Invalid_argument on an out-of-range [router]. *)
+    the servers (the policy's [on_provision] hook observes each). *)
 
 val pool_size : t -> name:string -> int
 (** Fleet-wide warm-pool size. *)
 
 val trigger :
-  ?router:int ->
   t ->
   name:string ->
   mode:Platform.start_mode ->
   ?on_complete:(int * Platform.record -> unit) ->
   unit ->
   outcome
-(** Route one invocation among the healthy servers of the owning
-    router's group.  [Accepted i] is the chosen (global) server;
-    [Rejected _] means no healthy server existed or the chosen one was
-    dry (the rejection is recorded and counted, and [on_complete]
-    never fires); [Queued] means the policy parked the trigger in the
-    router queue until a server claims it; [Forwarded r] means the
-    trigger spilled to neighbor router [r] (multi-router only).  On a
+(** Route one invocation among the healthy servers.  [Accepted i] is
+    the chosen server; [Rejected _] means no healthy server existed or
+    the chosen one was dry (the rejection is recorded and counted, and
+    [on_complete] never fires); [Queued] means the policy parked the
+    trigger in the router queue until a server claims it.  On a
     sharded cluster the dry-pool case surfaces one placement delay
     later as a recorded [No_warm_capacity] rejection instead — the
     router has already committed [Accepted i] by the time the server
     reports back.
-
-    The trigger enters at {!router_of_fn}'s router by default; on a
-    multi-router cluster the call must be made on that router's
-    timeline (pre-run setup, or a callback on {!router_engine}).
-    [?router] pins the trigger to a specific router instead — pinned
-    triggers place within that router's group and {e never} spill, so
-    [on_complete] always fires on the pinned timeline (the workflow
-    stepper relies on this).
     When [on_complete] is omitted the completion is only logged (one
     packed int), never materialized as a boxed record.
     @raise Platform.Unknown_function *)
 
 val trigger_id :
-  ?router:int ->
   t ->
   fn_id:int ->
   mode:Platform.start_mode ->
@@ -419,11 +329,10 @@ val schedule_batch :
   Horse_trace.Batch.t ->
   unit
 (** Ingest a whole (sorted) trigger batch, offsets relative to the
-    owning router engines' current time, each trigger routed exactly
-    as {!trigger_id} would at its arrival instant ([payload] column =
-    {!Platform.mode_code}) — each row lands on its function's affine
-    router's engine.  Arrivals are pre-scheduled through a windowed
-    cursor per router ([window] at a time, default 4096) so each event
+    router engine's current time, each trigger routed exactly as
+    {!trigger_id} would at its arrival instant ([payload] column =
+    {!Platform.mode_code}).  Arrivals are pre-scheduled through a
+    windowed cursor ([window] at a time, default 4096) so the event
     queue holds one window rather than the whole trace; within the
     batch, arrivals fire in batch order.  With [window >= length]
     the schedule is event-for-event identical to calling
@@ -438,26 +347,28 @@ val run : ?until:Horse_sim.Time_ns.t -> t -> unit
 (** Drive the simulation to completion (or to [until], inclusive).
     For a {!create} cluster this is [Engine.run] on the shared engine;
     for a {!create_sharded} cluster it drives the shard engine's epoch
-    loop, spreading the per-window server work over [shards] domains
-    via [Horse_parallel.Pool] when [shards > 1]. *)
+    loop, spreading each round's shard work over the persistent
+    [shards]-wide {!Horse_parallel.Team} when [shards > 1]. *)
 
 val schedule_faults : t -> horizon:Horse_sim.Time_ns.span -> int
 (** Schedule the cluster plan's {!Horse_fault.Fault.Plan.blackouts}
-    over the next [horizon] on the shared engine: at each outage start
-    the server is marked down and {!Platform.blackout}ed; at its end
-    the server is marked healthy again (its pools start empty — the
-    warm capacity was lost).  Returns the number of outages scheduled
-    (0 for an inert plan). *)
+    over the next [horizon]: at each outage start the server is marked
+    down and {!Platform.blackout}ed; at its end the server is marked
+    healthy again (its pools start empty — the warm capacity was
+    lost).  On a {!create} cluster all of this runs on the shared
+    engine; on a {!create_sharded} cluster the router flips health on
+    its own timeline while the blackout command is posted to the
+    server's shard at the outage instant, and the lost-invocation
+    count reaches the router one placement delay later.  Returns the
+    number of outages scheduled (0 for an inert plan). *)
 
 val record_count : t -> int
 (** Completions logged fleet-wide so far. *)
 
 val iter_records : t -> (int -> int -> unit) -> unit
-(** [iter_records t f] applies [f server slot] to every completion,
-    allocating nothing; [slot] indexes
-    [Platform.trigger_records (server t server)].  Router-major
-    order: router 0's completions in observed order, then router
-    1's, … (the historical single stream when [router_count = 1]). *)
+(** [iter_records t f] applies [f server slot] to every completion in
+    router-observed order, allocating nothing; [slot] indexes
+    [Platform.trigger_records (server t server)]. *)
 
 val fold_records : t -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
 (** Like {!iter_records}: [f acc server slot]. *)
@@ -469,7 +380,7 @@ val records : t -> (int * Platform.record) list
     large runs. *)
 
 val rejections : t -> rejection list
-(** All rejected triggers, oldest first per router, router-major. *)
+(** All rejected triggers, oldest first. *)
 
 val live_invocations : t -> int
 

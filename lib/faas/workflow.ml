@@ -1,18 +1,13 @@
 (* Workflow DAGs over a cluster, with platform-side fusion.
 
-   The stepper is completion-driven and lives entirely on the router
-   plane: every instance is keyed to the router owning its root
-   function (node 0's original function — stable whether or not the
-   root fused), [start] dispatches every zero-indegree unit through
-   [Cluster.trigger_id ~router], and each completion callback
-   (delivered by the cluster in router order, always on the owning
-   router's timeline because pinned triggers never spill) decrements
-   its successors' pending counts and dispatches the ones that reach
-   zero.  All mutable stepper state — instance tables, counters, the
-   record arenas, the e2e streams — is partitioned per router, so no
-   state is ever touched from a server shard or from another router's
-   strand, and DAG traversal is bit-identical across --jobs, --shards
-   and every scheduling policy for free.
+   The stepper is completion-driven and lives entirely on the router's
+   timeline: [start] dispatches every zero-indegree unit through
+   [Cluster.trigger_id], and each completion callback (delivered by
+   the cluster in router order) decrements its successors' pending
+   counts and dispatches the ones that reach zero.  No workflow state
+   is ever touched from a server shard, so DAG traversal is
+   bit-identical across --jobs, --shards and every scheduling policy
+   for free.
 
    Completion values are a pure int mix over (instance seed, function
    name, node index, predecessor values in ascending node order) —
@@ -192,7 +187,6 @@ type wf = {
   w_name : string;
   w_graph : graph;
   w_units : unit_ array;
-  w_router : int;  (* router owning node 0's original function *)
 }
 
 (* A node is fusable when its function is uLL and it starts warm: only
@@ -380,58 +374,43 @@ type records = {
   mutable r_comp : int array;
 }
 
-(* Per-router partition of the stepper's mutable state: instance
-   tables are keyed by packed id [local * routers + router] (so ids
-   stay dense and equal the historical global counter when
-   [routers = 1]), and every array below is indexed by router. *)
 type t = {
   t_cluster : Cluster.t;
   t_fuse : bool;
   mutable t_wfs : wf array;
   t_by_name : (string, int) Hashtbl.t;
-  t_routers : int;
-  t_insts : (int, inst) Hashtbl.t array;
-  t_next_local : int array;
-  t_completed : int array;
-  t_failed : int array;
-  t_e2e : Stats.Quantile.t array;
-  t_arenas : records array;
-  mutable t_merged : records option;  (* router-major view, memoized *)
-  mutable t_merged_len : int;
+  t_insts : (int, inst) Hashtbl.t;
+  mutable t_next_inst : int;
+  mutable t_completed : int;
+  mutable t_failed : int;
+  t_e2e : Stats.Quantile.t;
+  t_records : records;
 }
 
-let fresh_records () =
-  {
-    r_len = 0;
-    r_inst = Array.make 64 0;
-    r_node = Array.make 64 0;
-    r_value = Array.make 64 0;
-    r_server = Array.make 64 0;
-    r_trig = Array.make 64 0;
-    r_init = Array.make 64 0;
-    r_exec = Array.make 64 0;
-    r_preempt = Array.make 64 0;
-    r_comp = Array.make 64 0;
-  }
-
 let create ?(fuse = false) ~cluster () =
-  let routers = Cluster.router_count cluster in
   {
     t_cluster = cluster;
     t_fuse = fuse;
     t_wfs = [||];
     t_by_name = Hashtbl.create 8;
-    t_routers = routers;
-    t_insts = Array.init routers (fun _ -> Hashtbl.create 64);
-    t_next_local = Array.make routers 0;
-    t_completed = Array.make routers 0;
-    t_failed = Array.make routers 0;
-    t_e2e =
-      Array.init routers (fun _ ->
-          Stats.Quantile.create ~quantiles:[| 0.5; 0.99; 0.999 |] ());
-    t_arenas = Array.init routers (fun _ -> fresh_records ());
-    t_merged = None;
-    t_merged_len = -1;
+    t_insts = Hashtbl.create 64;
+    t_next_inst = 0;
+    t_completed = 0;
+    t_failed = 0;
+    t_e2e = Stats.Quantile.create ~quantiles:[| 0.5; 0.99; 0.999 |] ();
+    t_records =
+      {
+        r_len = 0;
+        r_inst = Array.make 64 0;
+        r_node = Array.make 64 0;
+        r_value = Array.make 64 0;
+        r_server = Array.make 64 0;
+        r_trig = Array.make 64 0;
+        r_init = Array.make 64 0;
+        r_exec = Array.make 64 0;
+        r_preempt = Array.make 64 0;
+        r_comp = Array.make 64 0;
+      };
   }
 
 let cluster t = t.t_cluster
@@ -445,18 +424,10 @@ let register t ~name g =
   Array.iter
     (fun n -> ignore (fn_id_of_name t.t_cluster n.n_name))
     g.g_nodes;
-  (* the instance's home router: node 0's *original* function, so the
-     key is stable whether or not the root ends up inside a fused
-     segment (the fused function's fresh id would hash elsewhere) *)
-  let w_router =
-    Cluster.router_of_fn t.t_cluster
-      ~fn_id:(fn_id_of_name t.t_cluster g.g_nodes.(0).n_name)
-  in
   let units = build_units t.t_cluster ~fuse:t.t_fuse ~wf_name:name g in
   let id = Array.length t.t_wfs in
   t.t_wfs <-
-    Array.append t.t_wfs
-      [| { w_name = name; w_graph = g; w_units = units; w_router } |];
+    Array.append t.t_wfs [| { w_name = name; w_graph = g; w_units = units } |];
   Hashtbl.replace t.t_by_name name id;
   id
 
@@ -478,14 +449,11 @@ let unit_members t ~wf_id =
 
 let provision t ~wf_id ~per_unit =
   let w = wf t wf_id in
-  (* park every unit's pool in the owning router's group — dispatches
-     are pinned there, so affine placement would strand the warmth of
-     any function hashing to another router *)
   Array.iter
     (fun u ->
       match u.u_mode with
       | Platform.Warm strategy ->
-        Cluster.provision t.t_cluster ~router:w.w_router
+        Cluster.provision t.t_cluster
           ~name:(Cluster.function_name t.t_cluster ~fn_id:u.u_fn_id)
           ~total:per_unit ~strategy
       | Platform.Cold | Platform.Restore -> ())
@@ -525,26 +493,21 @@ let append_record r ~inst ~node ~value ~server ~trig ~init ~exec ~preempt
 let rec dispatch t inst_id inst u_id =
   let w = t.t_wfs.(inst.i_wf) in
   let u = w.w_units.(u_id) in
-  (* pinned to the instance's home router: the completion callback is
-     guaranteed to fire on that router's timeline (pinned triggers
-     never spill), so the whole traversal stays on one strand *)
   match
-    Cluster.trigger_id t.t_cluster ~router:w.w_router ~fn_id:u.u_fn_id
-      ~mode:u.u_mode
+    Cluster.trigger_id t.t_cluster ~fn_id:u.u_fn_id ~mode:u.u_mode
       ~on_complete:(fun (server, record) ->
         unit_complete t inst_id u_id ~server record)
       ()
   with
-  | Cluster.Accepted _ | Cluster.Queued | Cluster.Forwarded _ -> ()
+  | Cluster.Accepted _ | Cluster.Queued -> ()
   | Cluster.Rejected _ ->
     if not inst.i_failed then begin
       inst.i_failed <- true;
-      t.t_failed.(w.w_router) <- t.t_failed.(w.w_router) + 1
+      t.t_failed <- t.t_failed + 1
     end
 
 and unit_complete t inst_id u_id ~server (record : Platform.record) =
-  let router = inst_id mod t.t_routers in
-  match Hashtbl.find_opt t.t_insts.(router) inst_id with
+  match Hashtbl.find_opt t.t_insts inst_id with
   | None -> ()
   | Some inst ->
     let w = t.t_wfs.(inst.i_wf) in
@@ -563,21 +526,21 @@ and unit_complete t inst_id u_id ~server (record : Platform.record) =
            [comp - trig = init + exec + preemption] holds everywhere;
            the last member carries the fused record's real timings *)
         if k = last then
-          append_record t.t_arenas.(router) ~inst:inst_id ~node
+          append_record t.t_records ~inst:inst_id ~node
             ~value:inst.i_values.(node) ~server ~trig:trig_ns
             ~init:(Time.span_to_ns record.Platform.init)
             ~exec:(Time.span_to_ns record.Platform.exec)
             ~preempt:(Time.span_to_ns record.Platform.preemption)
             ~comp:comp_ns
         else
-          append_record t.t_arenas.(router) ~inst:inst_id ~node
+          append_record t.t_records ~inst:inst_id ~node
             ~value:inst.i_values.(node) ~server ~trig:comp_ns ~init:0 ~exec:0
             ~preempt:0 ~comp:comp_ns)
       u.u_members;
     inst.i_remaining <- inst.i_remaining - 1;
     if inst.i_remaining = 0 then begin
-      t.t_completed.(router) <- t.t_completed.(router) + 1;
-      Stats.Quantile.add t.t_e2e.(router)
+      t.t_completed <- t.t_completed + 1;
+      Stats.Quantile.add t.t_e2e
         (float_of_int (comp_ns - inst.i_started_ns) /. 1e3);
       match inst.i_on_complete with
       | Some f -> f ~instance:inst_id ~at:record.Platform.completed_at
@@ -592,17 +555,14 @@ and unit_complete t inst_id u_id ~server (record : Platform.record) =
 
 let start ?seed ?on_complete t ~wf_id () =
   let w = wf t wf_id in
-  let r = w.w_router in
-  let local = t.t_next_local.(r) in
-  t.t_next_local.(r) <- local + 1;
-  let inst_id = (local * t.t_routers) + r in
+  let inst_id = t.t_next_inst in
+  t.t_next_inst <- inst_id + 1;
   let n = Array.length w.w_graph.g_nodes in
   let inst =
     {
       i_wf = wf_id;
       i_seed = Option.value ~default:inst_id seed;
-      i_started_ns =
-        Time.to_ns (Engine.now (Cluster.router_engine t.t_cluster r));
+      i_started_ns = Time.to_ns (Engine.now (Cluster.engine t.t_cluster));
       i_pending = Array.map (fun u -> Array.length u.u_deps) w.w_units;
       i_values = Array.make n 0;
       i_done = Array.make n false;
@@ -611,7 +571,7 @@ let start ?seed ?on_complete t ~wf_id () =
       i_on_complete = on_complete;
     }
   in
-  Hashtbl.replace t.t_insts.(r) inst_id inst;
+  Hashtbl.replace t.t_insts inst_id inst;
   Array.iteri
     (fun u_id u ->
       if Array.length u.u_deps = 0 then dispatch t inst_id inst u_id)
@@ -629,6 +589,8 @@ let schedule_batch ?(window = 4096) t batch =
       invalid_arg
         (Printf.sprintf "Workflow.schedule_batch: unknown workflow id %d" w)
   done;
+  let engine = Cluster.engine t.t_cluster in
+  let base = Engine.now engine in
   let fire k =
     let wf_id = Batch.fn_id batch k in
     let payload = Batch.payload batch k in
@@ -638,140 +600,45 @@ let schedule_batch ?(window = 4096) t batch =
   (* windowed cursor in the cluster's schedule_batch style: arm one
      window of arrivals; the last arrival of each window arms the next,
      so the event queue holds [window] workflow starts at most *)
-  if t.t_routers = 1 then begin
-    let engine = Cluster.engine t.t_cluster in
-    let base = Engine.now engine in
-    let rec arm k ~stop =
-      if k < stop then begin
-        let refills = k = stop - 1 && stop < n in
-        ignore
-          (Engine.schedule_at engine
-             ~at:(Time.add base (Batch.time batch k))
-             (fun _ ->
-               fire k;
-               if refills then arm stop ~stop:(min n (stop + window))));
-        arm (k + 1) ~stop
-      end
-    in
-    arm 0 ~stop:(min n window)
-  end
-  else begin
-    (* slice the batch's row indices per home router, then run the
-       same refill-before-boundary cursor per router on its own
-       engine — each router's starts fire on its own timeline *)
-    let rc = t.t_routers in
-    let counts = Array.make rc 0 in
-    for k = 0 to n - 1 do
-      let r = t.t_wfs.(Batch.fn_id batch k).w_router in
-      counts.(r) <- counts.(r) + 1
-    done;
-    let rows = Array.init rc (fun r -> Array.make counts.(r) 0) in
-    let fill = Array.make rc 0 in
-    for k = 0 to n - 1 do
-      let r = t.t_wfs.(Batch.fn_id batch k).w_router in
-      rows.(r).(fill.(r)) <- k;
-      fill.(r) <- fill.(r) + 1
-    done;
-    for r = 0 to rc - 1 do
-      let slice = rows.(r) in
-      let m = Array.length slice in
-      if m > 0 then begin
-        let engine = Cluster.router_engine t.t_cluster r in
-        let base = Engine.now engine in
-        let rec arm j ~stop =
-          if j < stop then begin
-            let refills = j = stop - 1 && stop < m in
-            let k = slice.(j) in
-            ignore
-              (Engine.schedule_at engine
-                 ~at:(Time.add base (Batch.time batch k))
-                 (fun _ ->
-                   fire k;
-                   if refills then arm stop ~stop:(min m (stop + window))));
-            arm (j + 1) ~stop
-          end
-        in
-        arm 0 ~stop:(min m window)
-      end
-    done
-  end
+  let rec arm k ~stop =
+    if k < stop then begin
+      let refills = k = stop - 1 && stop < n in
+      ignore
+        (Engine.schedule_at engine
+           ~at:(Time.add base (Batch.time batch k))
+           (fun _ ->
+             fire k;
+             if refills then arm stop ~stop:(min n (stop + window))));
+      arm (k + 1) ~stop
+    end
+  in
+  arm 0 ~stop:(min n window)
 
 let run t = Cluster.run t.t_cluster
 
-let instances_started t = Array.fold_left ( + ) 0 t.t_next_local
+let instances_started t = t.t_next_inst
 
-let instances_completed t = Array.fold_left ( + ) 0 t.t_completed
+let instances_completed t = t.t_completed
 
-let instances_failed t = Array.fold_left ( + ) 0 t.t_failed
+let instances_failed t = t.t_failed
 
-let e2e t = t.t_e2e.(0)
-
-let e2e_of t r =
-  if r < 0 || r >= t.t_routers then
-    invalid_arg "Workflow.e2e_of: router out of range";
-  t.t_e2e.(r)
-
-let wf_router t ~wf_id = (wf t wf_id).w_router
+let e2e t = t.t_e2e
 
 let value t ~instance ~node =
-  let r = instance mod t.t_routers in
-  match
-    if r < 0 then None else Hashtbl.find_opt t.t_insts.(r) instance
-  with
+  match Hashtbl.find_opt t.t_insts instance with
   | None -> invalid_arg "Workflow.value: unknown instance"
   | Some inst ->
     if node < 0 || node >= Array.length inst.i_values || not inst.i_done.(node)
     then invalid_arg "Workflow.value: node not completed";
     inst.i_values.(node)
 
-(* The router-major merged arena: router 0's rows in completion order,
-   then router 1's, … — exactly the single arena when [routers = 1]
-   (returned in place, no copy), rebuilt and memoized on total length
-   otherwise. *)
-let merged t =
-  if t.t_routers = 1 then t.t_arenas.(0)
-  else begin
-    let len = Array.fold_left (fun a r -> a + r.r_len) 0 t.t_arenas in
-    match t.t_merged with
-    | Some m when t.t_merged_len = len -> m
-    | _ ->
-      let cat col =
-        let out = Array.make (max len 1) 0 in
-        let off = ref 0 in
-        Array.iter
-          (fun a ->
-            Array.blit (col a) 0 out !off a.r_len;
-            off := !off + a.r_len)
-          t.t_arenas;
-        out
-      in
-      let m =
-        {
-          r_len = len;
-          r_inst = cat (fun a -> a.r_inst);
-          r_node = cat (fun a -> a.r_node);
-          r_value = cat (fun a -> a.r_value);
-          r_server = cat (fun a -> a.r_server);
-          r_trig = cat (fun a -> a.r_trig);
-          r_init = cat (fun a -> a.r_init);
-          r_exec = cat (fun a -> a.r_exec);
-          r_preempt = cat (fun a -> a.r_preempt);
-          r_comp = cat (fun a -> a.r_comp);
-        }
-      in
-      t.t_merged <- Some m;
-      t.t_merged_len <- len;
-      m
-  end
-
 module Records = struct
-  let count t = Array.fold_left (fun a r -> a + r.r_len) 0 t.t_arenas
+  let count t = t.t_records.r_len
 
   let read col t i =
-    let r = merged t in
-    if i < 0 || i >= r.r_len then
+    if i < 0 || i >= t.t_records.r_len then
       invalid_arg "Workflow.Records: slot out of range";
-    col r i
+    col t.t_records i
 
   let instance t i = read (fun r i -> r.r_inst.(i)) t i
 

@@ -7,23 +7,10 @@
     A {!t} manager interns graphs into dense workflow ids and runs
     {e instances} of them over a cluster: a completion-driven stepper
     dispatches every node whose predecessors' results have all landed,
-    entirely on the router plane, so DAG traversal inherits the
+    entirely on the router's timeline, so DAG traversal inherits the
     cluster's determinism — node records and completion values are
     bit-identical across [--jobs], [--shards] and every
     {!Cluster.Policy}.
-
-    {b Partitioned router plane.}  On a multi-router cluster
-    ({!Cluster.create_sharded} with [routers > 1]) each workflow is
-    keyed to the router owning its root function — node 0's
-    {e original} function, stable whether or not the root fused
-    ({!wf_router}).  Instances live entirely on that router's
-    timeline: units dispatch through [Cluster.trigger_id ~router]
-    (pinned triggers never spill, so completions always return to the
-    home strand), {!provision} parks pools in the home router's server
-    group, and all stepper state — instance tables, counters, record
-    arenas, e2e streams — is partitioned per router.  Instance ids are
-    packed [local * routers + router], which degenerates to the
-    historical dense counter when [routers = 1].
 
     {b Completion values.}  Each node completion carries a pure
     deterministic int value: a mixing function over the instance seed,
@@ -145,17 +132,11 @@ val unit_members : t -> wf_id:int -> int list list
     unfused nodes, the member chain for fused segments), in dispatch
     order. *)
 
-val wf_router : t -> wf_id:int -> int
-(** The router this workflow's instances live on: the owner
-    ({!Cluster.router_of_fn}) of node 0's original function (always 0
-    when [Cluster.router_count = 1]).
-    @raise Invalid_argument on an unknown id. *)
-
 val provision :
   t -> wf_id:int -> per_unit:int -> unit
 (** Park [per_unit] warm sandboxes per [Warm _] unit of the workflow
-    (fused units provision their fused function), spread over the
-    {e home router's} server group; non-warm units are skipped. *)
+    (fused units provision their fused function); non-warm units are
+    skipped. *)
 
 val start :
   ?seed:int ->
@@ -165,15 +146,13 @@ val start :
   unit ->
   int
 (** Begin one instance now (in virtual time): every ready unit is
-    dispatched through {!Cluster.trigger_id}, pinned to the home
-    router; successors follow as completions land.  [seed] (default:
-    the instance id) feeds the value computation.  Returns the
-    instance id.  On a multi-router cluster the call must be made on
-    the home router's timeline (pre-run setup, or a callback on
-    {!Cluster.router_engine}); [on_complete] fires there when the last
-    node completes.  A rejected or aborted unit strands its downstream
-    subgraph: upstream node records are retained, the instance counts
-    as failed, and [on_complete] never fires. *)
+    dispatched through {!Cluster.trigger_id}; successors follow as
+    completions land.  [seed] (default: the instance id) feeds the
+    value computation.  Returns the instance id.  [on_complete] fires
+    on the router timeline when the last node completes.  A rejected
+    or aborted unit strands its downstream subgraph: upstream node
+    records are retained, the instance counts as failed, and
+    [on_complete] never fires. *)
 
 val schedule_batch : ?window:int -> t -> Horse_trace.Batch.t -> unit
 (** DAG-aware batch ingestion: one {!start} per batch row at its
@@ -181,9 +160,7 @@ val schedule_batch : ?window:int -> t -> Horse_trace.Batch.t -> unit
     and the payload column as the instance seed (payload 0 = default
     seed).  Arrivals are armed through a windowed cursor ([window] at
     a time, default 4096) like {!Cluster.schedule_batch}, so the event
-    queue holds one window rather than the whole trace; on a
-    multi-router cluster the rows are sliced per home router and each
-    slice is armed on its own router's engine.
+    queue holds one window rather than the whole trace.
     @raise Invalid_argument if [window < 1], the batch is unsorted, or
     a row names an unknown workflow id. *)
 
@@ -202,13 +179,7 @@ val instances_failed : t -> int
 
 val e2e : t -> Horse_sim.Stats.Quantile.t
 (** Start-to-last-completion latency per completed instance, in
-    microseconds, tracked at p50/p99/p999 on the router timeline —
-    router 0's stream (the whole plane when [Cluster.router_count =
-    1]; see {!e2e_of} for the others). *)
-
-val e2e_of : t -> int -> Horse_sim.Stats.Quantile.t
-(** Router [r]'s instance-latency stream (instances homed there).
-    @raise Invalid_argument on an out-of-range index. *)
+    microseconds, tracked at p50/p99/p999 on the router timeline. *)
 
 val value : t -> instance:int -> node:int -> int
 (** The completion value a finished node produced.
@@ -218,10 +189,7 @@ val value : t -> instance:int -> node:int -> int
 
     One row per completed node, in completion order (fused members
     expand into member rows at the fused completion instant).  Columns
-    are read in place by slot index, [0 .. count - 1].  Router-major
-    on a multi-router cluster: router 0's rows first, then router
-    1's, … — identical to the historical single stream when
-    [Cluster.router_count = 1]. *)
+    are read in place by slot index, [0 .. count - 1]. *)
 module Records : sig
   val count : t -> int
 

@@ -505,12 +505,13 @@ let test_reclaim () =
 
 module Cluster = Horse_faas.Cluster
 
-let fresh_cluster ?(servers = 3) ?(routing = Cluster.Warm_first) ?policy ?e2e
-    () =
+let push routing = Cluster.Policy.push ~routing ()
+
+let fresh_cluster ?(servers = 3) ?policy ?e2e () =
   let engine = Engine.create ~seed:21 () in
   let cluster =
-    Cluster.create ~servers ~routing ?policy ?e2e ~topology:small_topology
-      ~seed:21 ~engine ()
+    Cluster.create ~servers ?policy ?e2e ~topology:small_topology ~seed:21
+      ~engine ()
   in
   Cluster.register cluster
     (Function_def.create ~name:"nat" ~vcpus:1 ~memory_mb:512
@@ -545,10 +546,9 @@ let accepted = function
     Alcotest.failf "unexpected rejection: %s"
       (Cluster.reject_reason_name r.Cluster.reason)
   | Cluster.Queued -> Alcotest.fail "unexpected queueing"
-  | Cluster.Forwarded _ -> Alcotest.fail "unexpected spill"
 
 let test_cluster_round_robin () =
-  let _, cluster = fresh_cluster ~routing:Cluster.Round_robin () in
+  let _, cluster = fresh_cluster ~policy:(push Cluster.Round_robin) () in
   let picks =
     List.init 6 (fun _ ->
         accepted (Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold ()))
@@ -556,7 +556,7 @@ let test_cluster_round_robin () =
   Alcotest.(check (list int)) "cycles" [ 0; 1; 2; 0; 1; 2 ] picks
 
 let test_cluster_least_loaded () =
-  let _, cluster = fresh_cluster ~routing:Cluster.Least_loaded () in
+  let _, cluster = fresh_cluster ~policy:(push Cluster.Least_loaded) () in
   (* keep server 0 busy, the router must avoid it *)
   let first =
     accepted (Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold ())
@@ -568,7 +568,7 @@ let test_cluster_least_loaded () =
   Alcotest.(check bool) "avoids busy server" true (second <> 0)
 
 let test_cluster_warm_first () =
-  let engine, cluster = fresh_cluster ~routing:Cluster.Warm_first () in
+  let engine, cluster = fresh_cluster ~policy:(push Cluster.Warm_first) () in
   (* only server 1 gets a warm sandbox *)
   Platform.provision (Cluster.server cluster 1) ~name:"nat" ~count:1
     ~strategy:Sandbox.Horse;
@@ -583,11 +583,11 @@ let test_cluster_warm_first () =
 let test_cluster_warm_exhausted_rejects () =
   (* a fleet-wide dry pool is a typed rejection, not an exception
      escaping the router *)
-  let _, cluster = fresh_cluster ~routing:Cluster.Warm_first () in
+  let _, cluster = fresh_cluster ~policy:(push Cluster.Warm_first) () in
   (match
      Cluster.trigger cluster ~name:"nat" ~mode:(Platform.Warm Sandbox.Horse) ()
    with
-  | Cluster.Accepted _ | Cluster.Queued | Cluster.Forwarded _ ->
+  | Cluster.Accepted _ | Cluster.Queued ->
     Alcotest.fail "dry fleet must reject"
   | Cluster.Rejected r ->
     Alcotest.(check string)
@@ -600,13 +600,13 @@ let test_cluster_warm_exhausted_rejects () =
        "cluster.rejections.no-warm-capacity")
 
 let test_cluster_all_down_rejects () =
-  let _, cluster = fresh_cluster ~routing:Cluster.Round_robin () in
+  let _, cluster = fresh_cluster ~policy:(push Cluster.Round_robin) () in
   for i = 0 to Cluster.server_count cluster - 1 do
     Cluster.mark_down cluster i
   done;
   Alcotest.(check int) "none healthy" 0 (Cluster.healthy_count cluster);
   (match Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold () with
-  | Cluster.Accepted _ | Cluster.Queued | Cluster.Forwarded _ ->
+  | Cluster.Accepted _ | Cluster.Queued ->
     Alcotest.fail "downed fleet must reject"
   | Cluster.Rejected r ->
     Alcotest.(check string)
@@ -618,7 +618,7 @@ let test_cluster_all_down_rejects () =
     (accepted (Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold ()))
 
 let test_cluster_routing_skips_unhealthy () =
-  let _, cluster = fresh_cluster ~routing:Cluster.Round_robin () in
+  let _, cluster = fresh_cluster ~policy:(push Cluster.Round_robin) () in
   Cluster.mark_down cluster 1;
   let picks =
     List.init 4 (fun _ ->
@@ -670,7 +670,7 @@ let test_policy_no_warm_rejects () =
          Cluster.trigger cluster ~name:"nat"
            ~mode:(Platform.Warm Sandbox.Horse) ()
        with
-      | Cluster.Accepted _ | Cluster.Queued | Cluster.Forwarded _ ->
+      | Cluster.Accepted _ | Cluster.Queued ->
         Alcotest.failf "%s: dry fleet must reject" pname
       | Cluster.Rejected r ->
         Alcotest.(check string)
@@ -693,7 +693,7 @@ let test_policy_all_down_rejects () =
         Cluster.mark_down cluster i
       done;
       (match Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold () with
-      | Cluster.Accepted _ | Cluster.Queued | Cluster.Forwarded _ ->
+      | Cluster.Accepted _ | Cluster.Queued ->
         Alcotest.failf "%s: downed fleet must reject" pname
       | Cluster.Rejected r ->
         Alcotest.(check string)
@@ -704,8 +704,7 @@ let test_policy_all_down_rejects () =
       match Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold () with
       | Cluster.Accepted i ->
         Alcotest.(check int) (pname ^ ": routed to the survivor") 1 i
-      | Cluster.Queued | Cluster.Forwarded _ ->
-        Alcotest.failf "%s: survivor must take traffic" pname
+      | Cluster.Queued -> Alcotest.failf "%s: survivor must take traffic" pname
       | Cluster.Rejected _ ->
         Alcotest.failf "%s: recovered fleet must accept" pname)
 

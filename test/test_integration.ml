@@ -90,7 +90,8 @@ let test_psm_stays_fresh_under_execution_churn () =
 let test_fleet_under_trace_storm () =
   let engine = Engine.create ~seed:43 () in
   let cluster =
-    Cluster.create ~servers:3 ~routing:Cluster.Warm_first
+    Cluster.create ~servers:3
+      ~policy:(Cluster.Policy.push ~routing:Cluster.Warm_first ())
       ~topology:small_topology ~seed:43 ~engine ()
   in
   Cluster.register cluster
@@ -111,7 +112,7 @@ let test_fleet_under_trace_storm () =
                Cluster.trigger cluster ~name:"fw"
                  ~mode:(Platform.Warm Sandbox.Horse) ()
              with
-             | Cluster.Accepted _ | Cluster.Queued | Cluster.Forwarded _ -> ()
+             | Cluster.Accepted _ | Cluster.Queued -> ()
              | Cluster.Rejected _ ->
                incr fallbacks;
                ignore (Cluster.trigger cluster ~name:"fw" ~mode:Platform.Cold ()))))

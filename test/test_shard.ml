@@ -10,7 +10,6 @@ module Shard_engine = Horse_sim.Shard_engine
 module Time = Horse_sim.Time_ns
 module Metrics = Horse_sim.Metrics
 module Rng = Horse_sim.Rng
-module Stats = Horse_sim.Stats
 module Topology = Horse_cpu.Topology
 module Sandbox = Horse_vmm.Sandbox
 module Platform = Horse_faas.Platform
@@ -535,14 +534,13 @@ let test_post_inside_window_rejected () =
   Alcotest.(check bool) "in-window post rejected" true !raised
 
 (* ------------------------------------------------------------------ *)
-(* Golden traces: routers=1 is byte-for-byte the historical cluster   *)
+(* Golden traces: the cluster is byte-for-byte the historical one      *)
 (* ------------------------------------------------------------------ *)
 
 (* MD5 digests of [dump_cluster] on every (policy, faulty, seed) storm,
-   captured from the single-router build immediately before the router
-   plane was partitioned.  [routers = 1] (the default) must reproduce
-   them forever: any drift here means the partitioned control plane
-   changed the degenerate case, not just added to it. *)
+   captured from the single-router cluster.  The cluster must reproduce
+   them forever: any drift here means a refactor moved the simulated
+   output, not just the code. *)
 let golden_digests =
   [
     ("push-warm-first", false, 1, "3b85f20ef54f0a183005d24c2157f767");
@@ -582,7 +580,7 @@ let test_golden_traces () =
     golden_digests
 
 (* ------------------------------------------------------------------ *)
-(* Partitioned router plane                                            *)
+(* The router: pull-claim order and the load index                     *)
 (* ------------------------------------------------------------------ *)
 
 let fn_count = 8
@@ -594,35 +592,25 @@ let multi_defs () =
       Function_def.create ~name:(fn_name i) ~vcpus:2 ~memory_mb:512
         ~exec:(Function_def.Ull Category.Cat2) ())
 
-(* A storm over many functions, so the function->router hash actually
-   spreads the load: each trigger is scheduled on its affine router's
-   engine, as a multi-router deployment must. *)
-let router_storm ?policy ?scheduler ?(faulty = false) ?(flaps = false)
-    ~routers ~seed ~shards () =
-  let faults = if faulty then blackout_plan (seed + 1) else Fault.Plan.none in
+(* A warm storm over many functions (three parked sandboxes each), with
+   optional staggered server flaps so fleet health keeps changing. *)
+let multi_fn_storm ?policy ?(flaps = false) ~seed ~shards () =
   let cluster =
-    Cluster.create_sharded ~servers:4 ~topology:small_topology ~seed ~faults
-      ~recovery:Platform.Recovery.default ?policy ?scheduler ~shards ~routers
-      ()
+    Cluster.create_sharded ~servers:4 ~topology:small_topology ~seed
+      ~recovery:Platform.Recovery.default ?policy ~shards ()
   in
   List.iter (Cluster.register cluster) (multi_defs ());
   for i = 0 to fn_count - 1 do
     Cluster.provision cluster ~name:(fn_name i) ~total:3
       ~strategy:Sandbox.Horse
   done;
+  let engine = Cluster.engine cluster in
   let horizon = Time.span_ms 50.0 in
-  if faulty then begin
-    let outages = Cluster.schedule_faults cluster ~horizon in
-    Alcotest.(check bool) "plan is non-inert" true (outages > 0)
-  end;
   if flaps then
     (* every server drops out of routing mid-storm and rejoins:
        pure health churn (unlike a blackout, in-flight work and warm
-       pools survive), staggered so group health keeps changing *)
+       pools survive), staggered so fleet health keeps changing *)
     for s = 0 to 3 do
-      let engine =
-        Cluster.router_engine cluster (Cluster.router_of_server cluster s)
-      in
       let down = Time.span_ms (8.0 +. (3.0 *. float_of_int s)) in
       let up = Time.span_ms (22.0 +. (4.0 *. float_of_int s)) in
       ignore
@@ -635,9 +623,6 @@ let router_storm ?policy ?scheduler ?(faulty = false) ?(flaps = false)
   for _ = 1 to 200 do
     let after = Time.span_ns (Rng.int rng (Time.span_to_ns horizon)) in
     let fn_id = Cluster.fn_id cluster ~name:(fn_name (Rng.int rng fn_count)) in
-    let engine =
-      Cluster.router_engine cluster (Cluster.router_of_fn cluster ~fn_id)
-    in
     ignore
       (Engine.schedule engine ~after (fun _ ->
            ignore
@@ -647,212 +632,54 @@ let router_storm ?policy ?scheduler ?(faulty = false) ?(flaps = false)
   Cluster.run cluster;
   cluster
 
-let test_router_invariance () =
-  (* at any fixed router count the whole trace — records, spills,
-     rejections, every counter, the message count — is bit-identical
-     across execution shards and schedulers *)
-  List.iter
-    (fun routers ->
-      List.iter
-        (fun faulty ->
-          List.iter
-            (fun seed ->
-              let dump ?scheduler shards =
-                dump_cluster
-                  (router_storm ?scheduler ~routers ~seed ~shards ~faulty ())
-              in
-              let reference = dump 1 in
-              Alcotest.(check bool) "storm produced records" true
-                (String.length reference > 100);
-              List.iter
-                (fun shards ->
-                  Alcotest.(check string)
-                    (Printf.sprintf
-                       "routers=%d seed=%d faulty=%b: shards=%d == shards=1"
-                       routers seed faulty shards)
-                    reference (dump shards))
-                [ 2; 4 ];
-              Alcotest.(check string)
-                (Printf.sprintf "routers=%d seed=%d faulty=%b: lockstep"
-                   routers seed faulty)
-                reference
-                (dump ~scheduler:Shard_engine.Lockstep 4))
-            [ 1; 42 ])
-        [ false; true ])
-    [ 2; 4 ]
-
-let test_router_invariance_policies () =
-  List.iter
-    (fun policy ->
-      let dump shards =
-        dump_cluster
-          (router_storm ~policy ~routers:2 ~seed:1337 ~shards ~faulty:true ())
-      in
-      let reference = dump 1 in
-      Alcotest.(check string)
-        (Printf.sprintf "%s routers=2: shards=4 == shards=1"
-           (Cluster.Policy.name policy))
-        reference (dump 4))
-    (Cluster.Policy.builtins ())
-
-(* -- the spill protocol -------------------------------------------- *)
-
-let spill_cluster ~e2e () =
-  let cluster =
-    Cluster.create_sharded ~servers:4 ~topology:small_topology ~seed:5 ~e2e
-      ~routers:2 ()
-  in
-  List.iter (Cluster.register cluster) (multi_defs ());
-  cluster
-
-let test_spill_dry_warm () =
-  let cluster = spill_cluster ~e2e:true () in
-  let fn_id = Cluster.fn_id cluster ~name:(fn_name 0) in
-  let home = Cluster.router_of_fn cluster ~fn_id in
-  let neighbor = (home + 1) mod 2 in
-  (* all the warmth for fn0 lives in the *neighbor's* group: the home
-     router is dry, so an affine warm trigger must spill one hop and
-     land warm over there instead of being rejected *)
-  Cluster.provision cluster ~router:neighbor ~name:(fn_name 0) ~total:2
-    ~strategy:Sandbox.Horse;
-  let outcome = ref None in
-  let completion = ref None in
-  ignore
-    (Engine.schedule_at
-       (Cluster.router_engine cluster home)
-       ~at:(Time.of_ns 1_000_000)
-       (fun _ ->
-         outcome :=
-           Some
-             (Cluster.trigger_id cluster ~fn_id
-                ~mode:(Platform.Warm Sandbox.Horse)
-                ~on_complete:(fun (server, record) ->
-                  completion := Some (server, record))
-                ())));
-  Cluster.run cluster;
-  (match !outcome with
-  | Some (Cluster.Forwarded r) ->
-    Alcotest.(check int) "forwarded to the neighbor" neighbor r
-  | _ -> Alcotest.fail "expected Forwarded");
-  (match !completion with
-  | None -> Alcotest.fail "spilled trigger never completed"
-  | Some (server, record) ->
-    Alcotest.(check int) "placed in the neighbor's group" neighbor
-      (Cluster.router_of_server cluster server);
-    (match record.Platform.mode with
-    | Platform.Warm Sandbox.Horse -> ()
-    | _ -> Alcotest.fail "expected a warm record");
-    (* the per-record latency identity holds for spilled triggers *)
-    Alcotest.(check int) "latency identity"
-      (Time.span_to_ns record.Platform.init
-      + Time.span_to_ns record.Platform.exec
-      + Time.span_to_ns record.Platform.preemption)
-      (Time.to_ns record.Platform.completed_at
-      - Time.to_ns record.Platform.triggered_at));
-  Alcotest.(check int) "one spill counted" 1
-    (Metrics.counter (Cluster.metrics cluster) "cluster.spills");
-  (* the spilled trigger completes on the neighbor's timeline, and its
-     end-to-end latency charges the extra hop: arrival -> ring hop ->
-     placement -> service -> completion notification is at least three
-     placement delays (150us at the default 50us) on top of service *)
-  let e2e = Option.get (Cluster.e2e_latencies_of cluster neighbor) in
-  Alcotest.(check int) "observed on the neighbor" 1 (Stats.Quantile.count e2e);
-  Alcotest.(check bool) "e2e charges the hop" true
-    (Stats.Quantile.mean e2e >= 150.0)
-
-let test_spill_all_down_and_pinned () =
-  let cluster = spill_cluster ~e2e:false () in
-  let fn_id = Cluster.fn_id cluster ~name:(fn_name 1) in
-  let home = Cluster.router_of_fn cluster ~fn_id in
-  let neighbor = (home + 1) mod 2 in
-  Cluster.provision cluster ~router:neighbor ~name:(fn_name 1) ~total:2
-    ~strategy:Sandbox.Horse;
-  (* the home group is entirely down: an affine trigger rides the ring
-     to the neighbor; a pinned trigger must NOT spill — it is rejected
-     in place, because its caller relies on the pinned timeline *)
-  Array.iter
-    (fun s -> Cluster.mark_down cluster s)
-    (Cluster.router_servers cluster home);
-  let affine = ref None and pinned = ref None in
-  ignore
-    (Engine.schedule_at
-       (Cluster.router_engine cluster home)
-       ~at:(Time.of_ns 1_000_000)
-       (fun _ ->
-         affine :=
-           Some
-             (Cluster.trigger_id cluster ~fn_id
-                ~mode:(Platform.Warm Sandbox.Horse) ());
-         pinned :=
-           Some
-             (Cluster.trigger_id cluster ~router:home ~fn_id
-                ~mode:(Platform.Warm Sandbox.Horse) ())));
-  Cluster.run cluster;
-  (match !affine with
-  | Some (Cluster.Forwarded r) ->
-    Alcotest.(check int) "spilled off the dead group" neighbor r
-  | _ -> Alcotest.fail "expected Forwarded");
-  (match !pinned with
-  | Some (Cluster.Rejected rj) ->
-    Alcotest.(check string) "pinned trigger rejected in place"
-      "all-servers-down"
-      (Cluster.reject_reason_name rj.Cluster.reason)
-  | _ -> Alcotest.fail "expected Rejected for the pinned trigger");
-  Alcotest.(check int) "exactly one spill" 1
-    (Metrics.counter (Cluster.metrics cluster) "cluster.spills")
-
-(* -- pull-claim fairness across the plane -------------------------- *)
-
 let test_pull_fifo_per_router () =
-  (* ten pinned triggers per router against one warm sandbox per
-     group: most park in the router queue, so claim-resolution order
+  (* ten triggers against one warm sandbox on a two-server pull
+     router: most park in the router queue, so claim-resolution order
      is observable through each record's dispatch instant.  Claims
-     must resolve strictly FIFO per router, and a blackout zeroing one
-     router's tokens must not perturb the other router's queue at
-     all. *)
-  let run ~blackout =
+     must resolve strictly FIFO, also when one server drops out of
+     routing mid-queue and later rejoins. *)
+  let run ~flap =
     let cluster =
-      Cluster.create_sharded ~servers:4 ~topology:small_topology ~seed:3
+      Cluster.create_sharded ~servers:2 ~topology:small_topology ~seed:3
         ~recovery:Platform.Recovery.default
-        ~policy:(Cluster.Policy.pull ()) ~routers:2 ()
+        ~policy:(Cluster.Policy.pull ()) ()
     in
     Cluster.register cluster ull_def;
-    Cluster.provision cluster ~router:0 ~name:"ull" ~total:1
-      ~strategy:Sandbox.Horse;
-    Cluster.provision cluster ~router:1 ~name:"ull" ~total:1
-      ~strategy:Sandbox.Horse;
+    Cluster.provision cluster ~name:"ull" ~total:1 ~strategy:Sandbox.Horse;
     let fn_id = Cluster.fn_id cluster ~name:"ull" in
-    let order = [| []; [] |] in
-    (* per router: (tag, dispatch instant) in completion order *)
-    for r = 0 to 1 do
-      let engine = Cluster.router_engine cluster r in
-      for tag = 0 to 9 do
-        ignore
-          (Engine.schedule_at engine
-             ~at:(Time.of_ns (1_000_000 + (tag * 1_000)))
-             (fun _ ->
-               ignore
-                 (Cluster.trigger_id cluster ~router:r ~fn_id
-                    ~mode:(Platform.Warm Sandbox.Horse)
-                    ~on_complete:(fun (_, record) ->
-                      order.(r) <-
-                        (tag, Time.to_ns record.Platform.triggered_at)
-                        :: order.(r))
-                    ())))
-      done
+    let engine = Cluster.engine cluster in
+    (* (tag, dispatch instant) in completion order *)
+    let order = ref [] and queued = ref 0 in
+    for tag = 0 to 9 do
+      ignore
+        (Engine.schedule_at engine
+           ~at:(Time.of_ns (1_000_000 + (tag * 1_000)))
+           (fun _ ->
+             match
+               Cluster.trigger_id cluster ~fn_id
+                 ~mode:(Platform.Warm Sandbox.Horse)
+                 ~on_complete:(fun (_, record) ->
+                   order :=
+                     (tag, Time.to_ns record.Platform.triggered_at) :: !order)
+                 ()
+             with
+             | Cluster.Accepted _ -> ()
+             | Cluster.Queued -> incr queued
+             | Cluster.Rejected _ -> Alcotest.fail "pull trigger rejected"))
     done;
-    if blackout then begin
-      let victim = (Cluster.router_servers cluster 0).(0) in
-      let engine = Cluster.router_engine cluster 0 in
+    if flap then begin
       ignore
         (Engine.schedule_at engine ~at:(Time.of_ns 1_004_500) (fun _ ->
-             Cluster.mark_down cluster victim));
+             Cluster.mark_down cluster 0));
       ignore
         (Engine.schedule_at engine ~at:(Time.of_ns 40_000_000) (fun _ ->
-             Cluster.mark_up cluster victim))
+             Cluster.mark_up cluster 0))
     end;
     Cluster.run cluster;
-    Array.map List.rev order
+    Alcotest.(check bool) "triggers parked in the router queue" true
+      (!queued > 0);
+    Alcotest.(check int) "queue drained" 0 (Cluster.pending_count cluster);
+    List.rev !order
   in
   let check_fifo name completions =
     Alcotest.(check int) (name ^ ": all completed") 10
@@ -867,14 +694,8 @@ let test_pull_fifo_per_router () =
            trig)
          min_int by_tag)
   in
-  let plain = run ~blackout:false in
-  check_fifo "router 0" plain.(0);
-  check_fifo "router 1" plain.(1);
-  let perturbed = run ~blackout:true in
-  check_fifo "router 0 under blackout" perturbed.(0);
-  Alcotest.(check bool)
-    "router 1's queue untouched by router 0's blackout" true
-    (plain.(1) = perturbed.(1))
+  check_fifo "steady" (run ~flap:false);
+  check_fifo "server flap" (run ~flap:true)
 
 (* -- load index vs linear scan under health churn ------------------ *)
 
@@ -916,24 +737,19 @@ let strip_policy_line s =
 
 let test_load_index_churn () =
   List.iter
-    (fun routers ->
-      List.iter
-        (fun seed ->
-          let dump policy =
-            strip_policy_line
-              (dump_cluster
-                 (router_storm ~policy ~routers ~seed ~shards:2 ~flaps:true ()))
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "routers=%d seed=%d: load index == linear scan"
-               routers seed)
-            (dump (linear_least_loaded ()))
-            (dump (Cluster.Policy.push ~routing:Cluster.Least_loaded ())))
-        [ 1; 42; 1337 ])
-    [ 1; 2 ]
+    (fun seed ->
+      let dump policy =
+        strip_policy_line
+          (dump_cluster (multi_fn_storm ~policy ~seed ~shards:2 ~flaps:true ()))
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "seed=%d: load index == linear scan" seed)
+        (dump (linear_least_loaded ()))
+        (dump (Cluster.Policy.push ~routing:Cluster.Least_loaded ())))
+    [ 1; 42; 1337 ]
 
 (* Print the digest of every storm trace and exit — used once to pin
-   the golden digests above against the single-router build. *)
+   the golden digests above. *)
 let () =
   if Sys.getenv_opt "HORSE_DUMP_GOLDEN" <> None then begin
     List.iter
@@ -978,14 +794,6 @@ let () =
         ] );
       ( "router plane",
         [
-          Alcotest.test_case "multi-router storms bit-identical" `Quick
-            test_router_invariance;
-          Alcotest.test_case "multi-router storms per policy" `Quick
-            test_router_invariance_policies;
-          Alcotest.test_case "dry-warm spill rides the ring" `Quick
-            test_spill_dry_warm;
-          Alcotest.test_case "all-down spill; pinned never spills" `Quick
-            test_spill_all_down_and_pinned;
           Alcotest.test_case "pull claims FIFO per router" `Quick
             test_pull_fifo_per_router;
           Alcotest.test_case "load index == linear scan under flaps" `Quick

@@ -155,7 +155,7 @@ let run_sequential ?(seed = 11) graph =
          ~on_complete:(fun (_server, r) -> rows := (i, r) :: !rows)
          ()
      with
-    | Cluster.Accepted _ | Cluster.Queued | Cluster.Forwarded _ -> ()
+    | Cluster.Accepted _ | Cluster.Queued -> ()
     | Cluster.Rejected _ -> Alcotest.fail "sequential trigger rejected");
     Cluster.run cluster
   done;
@@ -461,137 +461,6 @@ let test_chain_hops_sharded () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Partitioned router plane                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Four 3-node warm uLL chains, rotated through the palette so the
-   four root functions spread over the router hash. *)
-let chain_names i =
-  List.init 3 (fun k -> fst palette.((i + k) mod Array.length palette))
-
-let router_graphs () =
-  List.init 4 (fun i ->
-      Workflow.chain
-        (List.map
-           (fun n -> (n, Platform.Warm Sandbox.Horse))
-           (chain_names i)))
-
-let multi_router_manager ?(fuse = false) ~shards () =
-  let cluster =
-    Cluster.create_sharded ~servers:4 ~topology:small_topology ~seed:11
-      ~routers:2 ~shards ()
-  in
-  register_palette cluster;
-  let wf = Workflow.create ~fuse ~cluster () in
-  let ids =
-    List.mapi
-      (fun i g -> Workflow.register wf ~name:(Printf.sprintf "c%d" i) g)
-      (router_graphs ())
-  in
-  List.iter (fun id -> Workflow.provision wf ~wf_id:id ~per_unit:4) ids;
-  (cluster, wf, ids)
-
-let test_multi_router_plane () =
-  (* four chains over a 2-router plane: each is homed on its root's
-     router, every dispatch stays in the home group (pinned triggers
-     never spill), values match the pure oracle, and the stream is
-     bit-identical across execution shards, fused and unfused *)
-  let run ?fuse ~shards () =
-    let cluster, wf, ids = multi_router_manager ?fuse ~shards () in
-    let expect = Hashtbl.create 16 in
-    List.iteri
-      (fun k (id, g) ->
-        let inst = Workflow.start wf ~wf_id:id ~seed:(1000 + k) () in
-        Hashtbl.replace expect inst (id, g, 1000 + k))
-      (List.concat_map
-         (fun p -> [ p; p ])
-         (List.combine ids (router_graphs ())));
-    Workflow.run wf;
-    (cluster, wf, ids, expect)
-  in
-  let cluster, wf, ids, expect = run ~shards:1 () in
-  List.iteri
-    (fun i id ->
-      let root = List.hd (chain_names i) in
-      Alcotest.(check int)
-        (Printf.sprintf "c%d homed on its root's router" i)
-        (Cluster.router_of_fn cluster
-           ~fn_id:(Cluster.fn_id cluster ~name:root))
-        (Workflow.wf_router wf ~wf_id:id))
-    ids;
-  let homes = List.map (fun id -> Workflow.wf_router wf ~wf_id:id) ids in
-  Alcotest.(check bool) "both routers have homes" true
-    (List.mem 0 homes && List.mem 1 homes);
-  Alcotest.(check int) "all instances completed" 8
-    (Workflow.instances_completed wf);
-  Alcotest.(check int) "no failures" 0 (Workflow.instances_failed wf);
-  for i = 0 to Workflow.Records.count wf - 1 do
-    let inst = Workflow.Records.instance wf i in
-    let id, _, _ = Hashtbl.find expect inst in
-    Alcotest.(check int) "record produced in the home group"
-      (Workflow.wf_router wf ~wf_id:id)
-      (Cluster.router_of_server cluster (Workflow.Records.server wf i))
-  done;
-  Hashtbl.iter
-    (fun inst (_, g, seed) ->
-      let values = Workflow.oracle_values g ~seed in
-      Array.iteri
-        (fun v expect_v ->
-          Alcotest.(check int)
-            (Printf.sprintf "instance %d node %d" inst v)
-            expect_v
-            (Workflow.value wf ~instance:inst ~node:v))
-        values)
-    expect;
-  (match check_identity_rows wf with
-  | Some why -> Alcotest.fail why
-  | None -> ());
-  List.iter
-    (fun fuse ->
-      let _, reference, _, _ = run ~fuse ~shards:1 () in
-      let reference = stream reference in
-      List.iter
-        (fun shards ->
-          let _, w, _, _ = run ~fuse ~shards () in
-          Alcotest.(check bool)
-            (Printf.sprintf
-               "routers=2 stream identical at shards=%d (fuse=%b)" shards fuse)
-            true
-            (stream w = reference))
-        [ 2; 4 ])
-    [ false; true ]
-
-let test_multi_router_batch () =
-  (* batch ingestion on a 2-router plane: rows are sliced per home
-     router and armed on its engine; the run is deterministic and
-     shard-invariant, and every row starts and completes *)
-  let run shards =
-    let _, wf, _ = multi_router_manager ~shards () in
-    let b = Batch.create () in
-    for k = 0 to 19 do
-      Batch.add b
-        ~at:(Time.span_us (float_of_int (k * 7)))
-        ~fn_id:(k mod 4) ~payload:(500 + k)
-    done;
-    Workflow.schedule_batch ~window:4 wf b;
-    Workflow.run wf;
-    wf
-  in
-  let a = run 1 in
-  Alcotest.(check int) "all started" 20 (Workflow.instances_started a);
-  Alcotest.(check int) "all completed" 20 (Workflow.instances_completed a);
-  (match check_identity_rows a with
-  | Some why -> Alcotest.fail why
-  | None -> ());
-  List.iter
-    (fun shards ->
-      Alcotest.(check bool)
-        (Printf.sprintf "batch stream identical at shards=%d" shards)
-        true
-        (stream (run shards) = stream a))
-    [ 2; 4 ]
-
-(* ------------------------------------------------------------------ *)
 (* Failure semantics                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -617,10 +486,15 @@ let test_rejected_unit_fails_instance () =
 
 let test_schedule_batch_deterministic () =
   let graph = graph_of_shape { Harness.Dag.nodes = 3; edges = [ (0, 1); (1, 2) ] } in
-  let mk () =
-    let engine = Engine.create ~seed:5 () in
+  let mk ?shards () =
     let cluster =
-      Cluster.create ~servers:2 ~topology:small_topology ~seed:5 ~engine ()
+      match shards with
+      | None ->
+        let engine = Engine.create ~seed:5 () in
+        Cluster.create ~servers:2 ~topology:small_topology ~seed:5 ~engine ()
+      | Some shards ->
+        Cluster.create_sharded ~servers:2 ~topology:small_topology ~seed:5
+          ~shards ()
     in
     register_palette cluster;
     let wf = Workflow.create ~cluster () in
@@ -638,8 +512,8 @@ let test_schedule_batch_deterministic () =
     Batch.stamp_payloads b (fun i -> if i mod 2 = 0 then 100 + i else 0);
     b
   in
-  let run () =
-    let wf, id = mk () in
+  let run ?shards () =
+    let wf, id = mk ?shards () in
     Workflow.schedule_batch ~window:2 wf (batch id);
     Workflow.run wf;
     wf
@@ -661,7 +535,23 @@ let test_schedule_batch_deterministic () =
           expect.(v)
           (Workflow.value a ~instance:inst ~node:v)
       done)
-    [ 100; 1; 102; 3 ]
+    [ 100; 1; 102; 3 ];
+  (* the same windowed ingestion on a sharded cluster: every row starts
+     and completes, the latency identity holds, and the stream is
+     bit-identical across execution shards *)
+  let reference = run ~shards:1 () in
+  Alcotest.(check int) "sharded: all completed" 4
+    (Workflow.instances_completed reference);
+  (match check_identity_rows reference with
+  | Some why -> Alcotest.fail why
+  | None -> ());
+  List.iter
+    (fun shards ->
+      Alcotest.(check bool)
+        (Printf.sprintf "sharded batch stream identical at shards=%d" shards)
+        true
+        (stream (run ~shards ()) = stream reference))
+    [ 2; 4 ]
 
 let test_schedule_batch_validates () =
   let engine = Engine.create ~seed:5 () in
@@ -712,13 +602,6 @@ let () =
             test_planner_respects_branches;
           Alcotest.test_case "fused segment resumes once" `Quick
             test_fused_single_resume;
-        ] );
-      ( "router plane",
-        [
-          Alcotest.test_case "chains homed per router, oracle + identity"
-            `Quick test_multi_router_plane;
-          Alcotest.test_case "batch ingestion sliced per router" `Quick
-            test_multi_router_batch;
         ] );
       ( "stepper",
         [
