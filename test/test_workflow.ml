@@ -484,42 +484,44 @@ let test_rejected_unit_fails_instance () =
 (* Batch ingestion                                                     *)
 (* ------------------------------------------------------------------ *)
 
+let batch_graph =
+  graph_of_shape { Harness.Dag.nodes = 3; edges = [ (0, 1); (1, 2) ] }
+
+let batch_manager ?shards () =
+  let cluster =
+    match shards with
+    | None ->
+      let engine = Engine.create ~seed:5 () in
+      Cluster.create ~servers:2 ~topology:small_topology ~seed:5 ~engine ()
+    | Some shards ->
+      Cluster.create_sharded ~servers:2 ~topology:small_topology ~seed:5
+        ~shards ()
+  in
+  register_palette cluster;
+  let wf = Workflow.create ~cluster () in
+  let id = Workflow.register wf ~name:"g" batch_graph in
+  Workflow.provision wf ~wf_id:id ~per_unit:8;
+  (wf, id)
+
+let stamped_batch wf_id =
+  let b = Batch.create () in
+  List.iter
+    (fun us -> Batch.add b ~at:(Time.span_us us) ~fn_id:wf_id ~payload:0)
+    [ 5.0; 1.0; 9.0; 1.0 ];
+  Batch.sort b;
+  (* stamp explicit instance seeds onto rows 0 and 2 *)
+  Batch.stamp_payloads b (fun i -> if i mod 2 = 0 then 100 + i else 0);
+  b
+
+let run_batch ?shards () =
+  let wf, id = batch_manager ?shards () in
+  Workflow.schedule_batch ~window:2 wf (stamped_batch id);
+  Workflow.run wf;
+  wf
+
 let test_schedule_batch_deterministic () =
-  let graph = graph_of_shape { Harness.Dag.nodes = 3; edges = [ (0, 1); (1, 2) ] } in
-  let mk ?shards () =
-    let cluster =
-      match shards with
-      | None ->
-        let engine = Engine.create ~seed:5 () in
-        Cluster.create ~servers:2 ~topology:small_topology ~seed:5 ~engine ()
-      | Some shards ->
-        Cluster.create_sharded ~servers:2 ~topology:small_topology ~seed:5
-          ~shards ()
-    in
-    register_palette cluster;
-    let wf = Workflow.create ~cluster () in
-    let id = Workflow.register wf ~name:"g" graph in
-    Workflow.provision wf ~wf_id:id ~per_unit:8;
-    (wf, id)
-  in
-  let batch wf_id =
-    let b = Batch.create () in
-    List.iter
-      (fun us -> Batch.add b ~at:(Time.span_us us) ~fn_id:wf_id ~payload:0)
-      [ 5.0; 1.0; 9.0; 1.0 ];
-    Batch.sort b;
-    (* stamp explicit instance seeds onto rows 0 and 2 *)
-    Batch.stamp_payloads b (fun i -> if i mod 2 = 0 then 100 + i else 0);
-    b
-  in
-  let run ?shards () =
-    let wf, id = mk ?shards () in
-    Workflow.schedule_batch ~window:2 wf (batch id);
-    Workflow.run wf;
-    wf
-  in
-  let a = run () in
-  let b = run () in
+  let a = run_batch () in
+  let b = run_batch () in
   Alcotest.(check int) "all started" 4 (Workflow.instances_started a);
   Alcotest.(check int) "all completed" 4 (Workflow.instances_completed a);
   Alcotest.(check bool) "two ingestions identical" true (stream a = stream b);
@@ -528,18 +530,22 @@ let test_schedule_batch_deterministic () =
      to their instance id *)
   List.iteri
     (fun inst seed ->
-      let expect = Workflow.oracle_values graph ~seed in
+      let expect = Workflow.oracle_values batch_graph ~seed in
       for v = 0 to 2 do
         Alcotest.(check int)
           (Printf.sprintf "instance %d node %d" inst v)
           expect.(v)
           (Workflow.value a ~instance:inst ~node:v)
       done)
-    [ 100; 1; 102; 3 ];
+    [ 100; 1; 102; 3 ]
+
+let test_schedule_batch_sharded () =
   (* the same windowed ingestion on a sharded cluster: every row starts
      and completes, the latency identity holds, and the stream is
      bit-identical across execution shards *)
-  let reference = run ~shards:1 () in
+  let reference = run_batch ~shards:1 () in
+  Alcotest.(check int) "sharded: all started" 4
+    (Workflow.instances_started reference);
   Alcotest.(check int) "sharded: all completed" 4
     (Workflow.instances_completed reference);
   (match check_identity_rows reference with
@@ -550,7 +556,7 @@ let test_schedule_batch_deterministic () =
       Alcotest.(check bool)
         (Printf.sprintf "sharded batch stream identical at shards=%d" shards)
         true
-        (stream (run ~shards ()) = stream reference))
+        (stream (run_batch ~shards ()) = stream reference))
     [ 2; 4 ]
 
 let test_schedule_batch_validates () =
@@ -618,6 +624,11 @@ let () =
             `Quick test_schedule_batch_deterministic;
           Alcotest.test_case "batch validates workflow ids" `Quick
             test_schedule_batch_validates;
+        ] );
+      ( "shard ingest",
+        [
+          Alcotest.test_case "windowed batch is shard-invariant"
+            `Quick test_schedule_batch_sharded;
         ] );
       ( "builder",
         [ Alcotest.test_case "validation" `Quick test_builder_validation ] );
