@@ -40,13 +40,10 @@ BENCH_RUNPARAM ?= s=8M
 
 # machine-readable wall-clock record (sequential vs parallel per
 # experiment, min-of-N interleaved): every timed sweep, recorded into
-# BENCH_summary.json; override parallelism with JOBS=n and task
-# granularity with CHUNK=n (default: auto — the pool times the first
-# thunk and targets ~50us per dispatched task)
+# BENCH_summary.json; override parallelism with JOBS=n
 JOBS ?= 4
-CHUNK ?=
 bench-json:
-	OCAMLRUNPARAM=$(BENCH_RUNPARAM) dune exec --profile release bench/main.exe -- sweeps --jobs $(JOBS) $(if $(CHUNK),--chunk $(CHUNK)) --json BENCH_summary.json
+	OCAMLRUNPARAM=$(BENCH_RUNPARAM) dune exec --profile release bench/main.exe -- sweeps --jobs $(JOBS) --json BENCH_summary.json
 
 # quick microbenchmark record: event-queue + run-queue ns/op, words/op
 # and the dequeue flatness sweep, in release mode (quick trials are
@@ -108,7 +105,7 @@ bench-check:
 bench-storm:
 	OCAMLRUNPARAM=$(BENCH_RUNPARAM) dune exec --profile release bench/storm.exe -- $(if $(QUICK),--quick) --json BENCH_storm.json
 
-# full-length hot-path microbenchmarks (event queue, pool dispatch,
+# full-length hot-path microbenchmarks (event queue, team fan-out,
 # run queue) in release mode; also records BENCH_micro.json so
 # bench-check gates the allocation and flatness budgets
 perf:

@@ -8,10 +8,6 @@
                     [--jobs N]   fan experiment tasks over N strands
                                  (default: recommended_domain_count - 1;
                                  results are bit-identical for any N)
-                    [--chunk C]  group C consecutive tasks per dispatch
-                                 (default: auto — thunk 0 is timed and
-                                 the chunk targets ~50us per task;
-                                 results are bit-identical for any C)
                     [--shards S] execution tasks for the sharded
                                  cluster runs of [scale] (default
                                  max(4, recommended_domain_count - 1);
@@ -37,11 +33,9 @@ let section title =
 (* Wall-clock harness: --jobs / --json                                 *)
 (* ------------------------------------------------------------------ *)
 
-let jobs = ref (Horse_parallel.Pool.default_jobs ())
+let jobs = ref (Horse_parallel.Team.default_width ())
 
-let chunk : int option ref = ref None
-
-let shards = ref (max 4 (Horse_parallel.Pool.default_jobs ()))
+let shards = ref (max 4 (Horse_parallel.Team.default_width ()))
 
 let json_path : string option ref = ref None
 
@@ -54,7 +48,7 @@ let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
    GC and machine-noise conditions, and the minimum is the stable
    floor of each.  (The old shape — one parallel run first, one
    sequential run second — handed the sequential side a warmed-up
-   process and charged the parallel side the pool spawn.) *)
+   process and charged the parallel side the domain spawn.) *)
 let timing_rounds = 7
 
 (* Time one experiment's computation (not its rendering) at the
@@ -73,7 +67,7 @@ let timed name f =
   in
   match !json_path with
   | Some _ when !jobs > 1 ->
-    (* untimed warm-up pays one-time costs (shared-pool spawn, lazy
+    (* untimed warm-up pays one-time costs (shared-team spawn, lazy
        initialisers) for both sides *)
     let result = f ~jobs:!jobs in
     (* calibrate an iteration count so every timed run lasts at least
@@ -136,7 +130,7 @@ let paper_table1 = function
 
 let table1 () =
   section "Table 1 - uLL workloads: init + exec per start scenario";
-  let cells = timed "table1" (fun ~jobs -> E.table1 ~jobs ?chunk:!chunk ()) in
+  let cells = timed "table1" (fun ~jobs -> E.table1 ~jobs ()) in
   let rows =
     List.map
       (fun (c : E.table1_cell) ->
@@ -167,7 +161,7 @@ let table1 () =
 
 let fig1 () =
   section "Figure 1 - sandbox initialization share of the pipeline";
-  let cells = timed "fig1" (fun ~jobs -> E.table1 ~jobs ?chunk:!chunk ()) in
+  let cells = timed "fig1" (fun ~jobs -> E.table1 ~jobs ()) in
   let scenarios = [ E.Cold; E.Restore; E.Warm ] in
   let rows =
     List.map
@@ -211,7 +205,7 @@ let fig2 () =
           Report.ns r.finalize_ns;
           Report.pct r.steps45_pct;
         ])
-      (timed "fig2" (fun ~jobs -> E.fig2 ~jobs ?chunk:!chunk ()))
+      (timed "fig2" (fun ~jobs -> E.fig2 ~jobs ()))
   in
   Report.print
     ~caption:
@@ -228,7 +222,7 @@ let fig2 () =
 
 let fig3 () =
   section "Figure 3 - resume time: vanil / ppsm / coal / horse";
-  let rows3 = timed "fig3" (fun ~jobs -> E.fig3 ~jobs ?chunk:!chunk ()) in
+  let rows3 = timed "fig3" (fun ~jobs -> E.fig3 ~jobs ()) in
   let rows =
     List.map
       (fun (r : E.fig3_row) ->
@@ -268,7 +262,7 @@ let fig3 () =
 
 let fig4 () =
   section "Figure 4 - init share: cold / restore / warm / HORSE";
-  let cells = timed "fig4" (fun ~jobs -> E.fig4 ~jobs ?chunk:!chunk ()) in
+  let cells = timed "fig4" (fun ~jobs -> E.fig4 ~jobs ()) in
   let scenarios = [ E.Cold; E.Restore; E.Warm; E.Horse_start ] in
   let rows =
     List.map
@@ -344,7 +338,7 @@ let overhead () =
           Printf.sprintf "%.4f%%" r.resume_burst_cpu_pct;
           string_of_int r.maintenance_events;
         ])
-      (timed "overhead" (fun ~jobs -> E.overhead ~jobs ?chunk:!chunk ()))
+      (timed "overhead" (fun ~jobs -> E.overhead ~jobs ()))
   in
   Report.print
     ~caption:
@@ -379,7 +373,7 @@ let colocation () =
           string_of_int r.affected;
           Printf.sprintf "%.1fus" r.max_delay_us;
         ])
-      (timed "colocation" (fun ~jobs -> E.colocation ~jobs ?chunk:!chunk ()))
+      (timed "colocation" (fun ~jobs -> E.colocation ~jobs ()))
   in
   Report.print
     ~caption:
@@ -515,7 +509,7 @@ let faults () =
           string_of_int r.fr_fallbacks;
           string_of_int r.fr_retries;
         ])
-      (timed "faults" (fun ~jobs -> E.faults ~jobs ?chunk:!chunk ()))
+      (timed "faults" (fun ~jobs -> E.faults ~jobs ()))
   in
   Report.print
     ~caption:
@@ -964,7 +958,7 @@ let chain () =
 
 let summary () =
   section "Headline claims";
-  let s = timed "summary" (fun ~jobs -> E.summary ~jobs ?chunk:!chunk ()) in
+  let s = timed "summary" (fun ~jobs -> E.summary ~jobs ()) in
   Report.print ~caption:"Measured vs paper"
     ~header:[ "claim"; "measured"; "paper" ]
     [
@@ -989,7 +983,8 @@ let summary () =
 let xen () =
   section "Xen profile - same shape on the second virtualization system";
   let s =
-    E.fig3_summarise (timed "fig3:xen" (fun ~jobs -> E.fig3 ~profile:E.Xen ~jobs ?chunk:!chunk ()))
+    E.fig3_summarise
+      (timed "fig3:xen" (fun ~jobs -> E.fig3 ~profile:E.Xen ~jobs ()))
   in
   Report.print
     ~caption:
@@ -1004,7 +999,7 @@ let xen () =
     ];
   (* the platform-level view (Figure 4 style) on Xen *)
   let cells =
-    timed "fig4:xen" (fun ~jobs -> E.fig4 ~profile:E.Xen ~repeats:5 ~jobs ?chunk:!chunk ())
+    timed "fig4:xen" (fun ~jobs -> E.fig4 ~profile:E.Xen ~repeats:5 ~jobs ())
   in
   let scenarios = [ E.Cold; E.Restore; E.Warm; E.Horse_start ] in
   Report.print
@@ -1284,7 +1279,7 @@ let csv () =
            f r.E.sanity_ns; f r.E.merge_ns; f r.E.load_ns; f r.E.finalize_ns;
            f r.E.steps45_pct;
          ])
-       (E.fig2 ~jobs:!jobs ?chunk:!chunk ()));
+       (E.fig2 ~jobs:!jobs ()));
   write_csv (Filename.concat dir "fig3_strategies.csv")
     [ "vcpus"; "vanil_ns"; "coal_ns"; "ppsm_ns"; "horse_ns" ]
     (List.map
@@ -1293,7 +1288,7 @@ let csv () =
            string_of_int r.E.vcpus; f r.E.vanil_ns; f r.E.coal_ns;
            f r.E.ppsm_ns; f r.E.horse_ns;
          ])
-       (E.fig3 ~jobs:!jobs ?chunk:!chunk ()));
+       (E.fig3 ~jobs:!jobs ()));
   write_csv (Filename.concat dir "fig4_init_share.csv")
     [ "category"; "scenario"; "init_pct" ]
     (List.map
@@ -1302,7 +1297,7 @@ let csv () =
            Category.name c.E.f4_category; E.scenario_name c.E.f4_scenario;
            f c.E.f4_init_pct;
          ])
-       (E.fig4 ~jobs:!jobs ?chunk:!chunk ()));
+       (E.fig4 ~jobs:!jobs ()));
   write_csv (Filename.concat dir "colocation.csv")
     [ "ull_vcpus"; "vanilla_mean_ms"; "vanilla_p95_ms"; "vanilla_p99_ms";
       "horse_mean_ms"; "horse_p95_ms"; "horse_p99_ms"; "p99_delta_us";
@@ -1315,7 +1310,7 @@ let csv () =
            f r.E.horse_p95_ms; f r.E.horse_p99_ms; f r.E.p99_delta_us;
            string_of_int r.E.affected; f r.E.max_delay_us;
          ])
-       (E.colocation ~jobs:!jobs ?chunk:!chunk ()))
+       (E.colocation ~jobs:!jobs ()))
 
 (* ------------------------------------------------------------------ *)
 
@@ -1364,7 +1359,7 @@ let () =
   in
   let usage () =
     Printf.eprintf
-      "usage: %s [experiment] [--jobs N] [--chunk C] [--shards S] [--json FILE]\n"
+      "usage: %s [experiment] [--jobs N] [--shards S] [--json FILE]\n"
       Sys.argv.(0);
     Printf.eprintf "experiments: %s\n" (String.concat ", " (List.map fst experiments));
     exit 1
@@ -1379,14 +1374,6 @@ let () =
       | Some _ | None ->
         Printf.eprintf "--jobs: expected a positive integer, got %S\n" n;
         exit 1)
-    | "--chunk" :: c :: rest -> (
-      match int_of_string_opt c with
-      | Some c when c >= 1 ->
-        chunk := Some c;
-        parse positional rest
-      | Some _ | None ->
-        Printf.eprintf "--chunk: expected a positive integer, got %S\n" c;
-        exit 1)
     | "--shards" :: s :: rest -> (
       match int_of_string_opt s with
       | Some s when s >= 1 ->
@@ -1398,7 +1385,7 @@ let () =
     | "--json" :: path :: rest ->
       json_path := Some path;
       parse positional rest
-    | [ (("--jobs" | "--chunk" | "--shards" | "--json") as flag) ] ->
+    | [ (("--jobs" | "--shards" | "--json") as flag) ] ->
       Printf.eprintf "missing value after %s\n" flag;
       usage ()
     | arg :: _ when String.length arg > 1 && arg.[0] = '-' ->

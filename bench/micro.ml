@@ -1,5 +1,5 @@
 (* Hot-path microbenchmarks: ns/op and words/op for the event core and
-   the pool dispatch path.
+   the team fan-out path.
 
    Usage:  micro.exe [--quick] [--json FILE]
 
@@ -12,8 +12,8 @@
                      Event_queue_reference, ns per event
    - [alloc:eq-*]    the same pair, minor-heap words per event
                      (`make bench-check` requires >= 2x here)
-   - [micro:pool:*]  shared-pool dispatch, ns per trivial task,
-                     chunk 1 vs chunk 32
+   - [micro:team:*]  shared-team [Team.map] fan-out, ns per trivial
+                     task, against a sequential [List.mapi]
    - [micro:rq-*]    arena-backed Runqueue vs a reconstruction of the
                      boxed run queue it replaced (Linked_list +
                      Hashtbl subscribers + per-mutation change
@@ -36,7 +36,7 @@
 module Time_ns = Horse_sim.Time_ns
 module Rng = Horse_sim.Rng
 module Report = Horse.Report
-module Pool = Horse_parallel.Pool
+module Team = Horse_parallel.Team
 
 let quick = ref false
 
@@ -144,19 +144,20 @@ let eq_cancel (module Q : QUEUE) ~batch ~rounds ~trials ~horizon =
   { ns_per_op = !best_ns /. float_of_int (batch * rounds); words_per_op = 0.0 }
 
 (* ------------------------------------------------------------------ *)
-(* Pool dispatch latency                                               *)
+(* Team fan-out latency                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Trivial tasks, so the measured time IS the dispatch machinery:
-   deque push + wake-up + steal + completion accounting, per task. *)
-let pool_dispatch ~jobs ~chunk ~ntasks ~trials =
-  let pool = Pool.shared ~jobs () in
-  let tasks = List.init ntasks (fun i () -> i) in
-  ignore (Pool.run_list ~chunk pool tasks) (* warm-up *);
+(* Trivial tasks, so the measured time IS the fan-out machinery:
+   round release + one [fetch_and_add] claim + slot write + join, per
+   task.  [map] is either [List.mapi] or a [Team.map] on a team. *)
+let fanout_ns ~map ~ntasks ~trials =
+  let xs = List.init ntasks Fun.id in
+  let f i x = i + x in
+  ignore (map f xs) (* warm-up *);
   let best_ns = ref infinity in
   for _ = 1 to trials do
     let t0 = now_ns () in
-    ignore (Pool.run_list ~chunk pool tasks);
+    ignore (map f xs);
     let dt = now_ns () -. t0 in
     if dt < !best_ns then best_ns := dt
   done;
@@ -447,11 +448,11 @@ let () =
         ~flat:flat.ns_per_op;
     ]
   in
-  let pool =
-    let jobs = 4 and ntasks = if !quick then 512 else 4096 in
-    let fine = pool_dispatch ~jobs ~chunk:1 ~ntasks ~trials in
-    let coarse = pool_dispatch ~jobs ~chunk:32 ~ntasks ~trials in
-    [ pair "micro:pool:dispatch-ns-per-task" ~baseline:fine ~flat:coarse ]
+  let team =
+    let ntasks = 4096 and t = Team.shared ~width:4 in
+    let seq = fanout_ns ~map:(fun f xs -> List.mapi f xs) ~ntasks ~trials in
+    let par = fanout_ns ~map:(fun f xs -> Team.map t ~f xs) ~ntasks ~trials in
+    [ pair "micro:team:map-ns-per-task" ~baseline:seq ~flat:par ]
   in
   let rq =
     let n = 256 and fan = 64 in
@@ -505,11 +506,11 @@ let () =
         ])
       (Cluster.Policy.builtins ())
   in
-  let timings = eq "near" near @ eq "far" far @ cancels @ pool @ rq @ router in
+  let timings = eq "near" near @ eq "far" far @ cancels @ team @ rq @ router in
   Report.print
     ~caption:
       "Event core: flat arena+ring+4-ary-heap queue vs the boxed-cell \
-       reference; pool: per-task dispatch cost, chunk 1 vs 32; run \
+       reference; team: Team.map fan-out cost per task vs List.mapi; run \
        queue: arena Runqueue vs the boxed list+Hashtbl design.  \
        'baseline/new' is ns (or minor words, or a growth factor) per \
        operation."

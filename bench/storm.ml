@@ -211,7 +211,7 @@ let () =
   let servers, sandboxes, triggers =
     if quick then (4, 2_000, 500) else (8, 16_000, 4_000)
   in
-  let shards = max 4 (Horse_parallel.Pool.default_jobs ()) in
+  let shards = max 4 (Horse_parallel.Team.default_width ()) in
   let run nshards =
     let wall = ref 0.0 in
     let row =

@@ -17,7 +17,7 @@ module Workflow = Horse_faas.Workflow
 module Batch = Horse_trace.Batch
 module Fault = Horse_fault.Fault
 
-module Pool = Horse_parallel.Pool
+module Team = Horse_parallel.Team
 
 type profile = Firecracker | Xen
 
@@ -39,18 +39,19 @@ let default_sweep = [ 1; 2; 4; 8; 12; 16; 20; 24; 28; 32; 36 ]
 
 let mean values = Stats.mean_of values
 
-(* Fan independent experiment tasks over the cached process-wide pool
+(* Fan independent experiment tasks over the cached process-wide team
    of [jobs] strands.  Every task closes over its complete input —
    profile, seed arithmetic, sweep point — at submission, and results
    come back in list order, so the output is bit-identical to
-   [List.map] for any [jobs] and any [chunk] (the determinism tests
-   pin both).  [jobs = 1] *is* [List.map]: no pool, no domains.
-   Reusing [Pool.shared] means a sweep never pays domain spawns —
-   with per-call pools the spawn/join cost alone outweighed the
-   tasks. *)
-let fan ?chunk ~jobs f items =
+   [List.map] for any [jobs] (the determinism tests pin it).
+   [jobs = 1] *is* [List.map]: no team, no domains.  Reusing
+   [Team.shared] means a sweep never pays domain spawns — with
+   per-call domains the spawn/join cost alone outweighed the tasks —
+   and a task that itself runs a sharded cluster on the same team
+   just runs its strands inline. *)
+let fan ~jobs f items =
   if jobs <= 1 then List.map f items
-  else Pool.map ?chunk (Pool.shared ~jobs ()) ~f:(fun _ x -> f x) items
+  else Team.map (Team.shared ~width:jobs) ~f:(fun _ x -> f x) items
 
 let ns_of span = float_of_int (Time.span_to_ns span)
 
@@ -148,7 +149,7 @@ let scenario_mode = function
   | Warm -> Platform.Warm Sandbox.Vanilla
   | Horse_start -> Platform.Warm Sandbox.Horse
 
-let run_start_scenarios ?chunk ~profile ~repeats ~seed ~scenarios ~jobs () =
+let run_start_scenarios ~profile ~repeats ~seed ~scenarios ~jobs () =
   (* one task per (category, scenario) cell: each owns a private
      engine + platform, so cells parallelise without sharing state *)
   let cells =
@@ -156,7 +157,7 @@ let run_start_scenarios ?chunk ~profile ~repeats ~seed ~scenarios ~jobs () =
       (fun category -> List.map (fun scenario -> (category, scenario)) scenarios)
       Category.all
   in
-  fan ?chunk ~jobs
+  fan ~jobs
     (fun (category, scenario) ->
       let engine = Engine.create ~seed () in
           let platform =
@@ -193,8 +194,8 @@ let run_start_scenarios ?chunk ~profile ~repeats ~seed ~scenarios ~jobs () =
     cells
 
 let table1 ?(profile = Firecracker) ?(repeats = 10) ?(seed = 42) ?(jobs = 1)
-    ?chunk () =
-  run_start_scenarios ?chunk ~profile ~repeats ~seed ~jobs
+    () =
+  run_start_scenarios ~profile ~repeats ~seed ~jobs
     ~scenarios:[ Cold; Restore; Warm ] ()
 
 (* ------------------------------------------------------------------ *)
@@ -213,8 +214,8 @@ type fig2_row = {
 }
 
 let fig2 ?(profile = Firecracker) ?(repeats = 10) ?(seed = 42)
-    ?(vcpus = default_sweep) ?(jobs = 1) ?chunk () =
-  fan ?chunk ~jobs
+    ?(vcpus = default_sweep) ?(jobs = 1) () =
+  fan ~jobs
     (fun n ->
       let breakdowns =
         List.init repeats (fun r ->
@@ -257,7 +258,7 @@ type fig3_row = {
 }
 
 let fig3 ?(profile = Firecracker) ?(repeats = 10) ?(seed = 42)
-    ?(vcpus = default_sweep) ?(jobs = 1) ?chunk () =
+    ?(vcpus = default_sweep) ?(jobs = 1) () =
   let measure (n, strategy) =
     mean
       (List.init repeats (fun r ->
@@ -267,12 +268,12 @@ let fig3 ?(profile = Firecracker) ?(repeats = 10) ?(seed = 42)
   in
   (* finer grain than one-task-per-sweep-point: a 36-vCPU vanilla
      resume costs ~36x a 1-vCPU one, so (point, strategy) tasks let
-     work stealing balance the sweep *)
+     the self-scheduling strands balance the sweep *)
   let strategies = [ Sandbox.Vanilla; Sandbox.Ppsm; Sandbox.Coal; Sandbox.Horse ] in
   let tasks =
     List.concat_map (fun n -> List.map (fun s -> (n, s)) strategies) vcpus
   in
-  let measured = fan ?chunk ~jobs measure tasks in
+  let measured = fan ~jobs measure tasks in
   let rec rows vcpus measured =
     match (vcpus, measured) with
     | [], [] -> []
@@ -313,8 +314,8 @@ type fig4_cell = {
 }
 
 let fig4 ?(profile = Firecracker) ?(repeats = 10) ?(seed = 42) ?(jobs = 1)
-    ?chunk () =
-  run_start_scenarios ?chunk ~profile ~repeats ~seed ~jobs
+    () =
+  run_start_scenarios ~profile ~repeats ~seed ~jobs
     ~scenarios:[ Cold; Restore; Warm; Horse_start ] ()
   |> List.map (fun cell ->
          {
@@ -337,7 +338,7 @@ type overhead_row = {
 }
 
 let overhead ?(profile = Firecracker) ?(seed = 42) ?(vcpus = default_sweep)
-    ?(jobs = 1) ?chunk () =
+    ?(jobs = 1) () =
   let sampling_window_ns = 500e6 (* the paper records usage every 500 ms *) in
   let run_pauses ~strategy n =
     (* 10 background 1-vCPU sandboxes + 10 uLL sandboxes of size n,
@@ -367,7 +368,7 @@ let overhead ?(profile = Firecracker) ?(seed = 42) ?(vcpus = default_sweep)
     let events = Metrics.counter metrics "psm.maintenance_events" in
     (pause_ns, memory_bytes, resume_results, events)
   in
-  fan ?chunk ~jobs
+  fan ~jobs
     (fun n ->
       let vanilla_pause_ns, _, _, _ = run_pauses ~strategy:Sandbox.Vanilla n in
       let horse_pause_ns, memory_bytes, resume_results, events =
@@ -539,7 +540,7 @@ let colocation_run ?shards ~profile ~seed ~duration ~ull_vcpus ~strategy
     colocation_summarise (Of_platform platform)
 
 let colocation ?(profile = Firecracker) ?(seed = 42) ?(duration_s = 30.0)
-    ?(repeats = 10) ?(vcpus = [ 1; 8; 16; 24; 36 ]) ?(jobs = 1) ?chunk ?shards
+    ?(repeats = 10) ?(vcpus = [ 1; 8; 16; 24; 36 ]) ?(jobs = 1) ?shards
     () =
   let duration = Time.span_s duration_s in
   (* The paper reports the worst penalty over its 10 runs ("up to");
@@ -562,7 +563,7 @@ let colocation ?(profile = Firecracker) ?(seed = 42) ?(duration_s = 30.0)
   let tasks =
     List.concat_map (fun n -> List.init repeats (fun r -> (n, r))) vcpus
   in
-  let all_runs = fan ?chunk ~jobs one_repeat tasks in
+  let all_runs = fan ~jobs one_repeat tasks in
   let rec chunk k xs =
     if k = 0 then ([], xs)
     else
@@ -963,7 +964,7 @@ let fault_run ?shards ?policy ~profile ~seed ~duration ~rate ~strategy () =
   }
 
 let faults ?(profile = Firecracker) ?(seed = 42) ?(duration_s = 5.0)
-    ?(rates = [ 0.0; 0.001; 0.01; 0.1 ]) ?(jobs = 1) ?chunk ?shards ?policy ()
+    ?(rates = [ 0.0; 0.001; 0.01; 0.1 ]) ?(jobs = 1) ?shards ?policy ()
     =
   let duration = Time.span_s duration_s in
   let tasks =
@@ -972,7 +973,7 @@ let faults ?(profile = Firecracker) ?(seed = 42) ?(duration_s = 5.0)
         [ (rate, Sandbox.Vanilla); (rate, Sandbox.Horse) ])
       rates
   in
-  fan ?chunk ~jobs
+  fan ~jobs
     (fun (rate, strategy) ->
       fault_run ?shards ?policy ~profile ~seed ~duration ~rate ~strategy ())
     tasks
@@ -1402,9 +1403,9 @@ type summary = {
   horse_init_pct_max : float;
 }
 
-let summary ?(profile = Firecracker) ?(seed = 42) ?(jobs = 1) ?chunk () =
-  let f3 = fig3_summarise (fig3 ~profile ~seed ~jobs ?chunk ()) in
-  let f4 = fig4 ~profile ~seed ~jobs ?chunk () in
+let summary ?(profile = Firecracker) ?(seed = 42) ?(jobs = 1) () =
+  let f3 = fig3_summarise (fig3 ~profile ~seed ~jobs ()) in
+  let f4 = fig4 ~profile ~seed ~jobs () in
   let pct_of scenario category =
     let cell =
       List.find

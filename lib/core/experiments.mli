@@ -8,14 +8,13 @@
 
     The sweep-shaped experiments take [?jobs] (default 1): their
     independent tasks — table cells, sweep points, paired repeats —
-    fan out over the cached process-wide {!Horse_parallel.Pool} of
-    that many strands ({!Horse_parallel.Pool.shared}, so repeated
-    experiments never pay domain spawns).  [?chunk] (default 1)
-    groups that many consecutive tasks per dispatch.  Results are {e
-    bit-identical for every value of [jobs] and [chunk]}: tasks close
-    over their seeds at submission and results are collected in task
-    order, so parallelism only changes wall-clock time, never a
-    number. *)
+    fan out with {!Horse_parallel.Team.map} over the cached
+    process-wide team of that many strands
+    ({!Horse_parallel.Team.shared}, so repeated experiments never pay
+    domain spawns).  Results are {e bit-identical for every value of
+    [jobs]}: tasks close over their seeds at submission and results
+    are collected in task order, so parallelism only changes
+    wall-clock time, never a number. *)
 
 type profile = Firecracker | Xen
 
@@ -38,7 +37,7 @@ type table1_cell = {
 }
 
 val table1 :
-  ?profile:profile -> ?repeats:int -> ?seed:int -> ?jobs:int -> ?chunk:int ->
+  ?profile:profile -> ?repeats:int -> ?seed:int -> ?jobs:int ->
   unit -> table1_cell list
 (** The paper's Table 1: categories × (cold, restore, warm).
     Figure 1 is the [init_pct] column of the same cells. *)
@@ -58,7 +57,7 @@ type fig2_row = {
 
 val fig2 :
   ?profile:profile -> ?repeats:int -> ?seed:int -> ?vcpus:int list ->
-  ?jobs:int -> ?chunk:int -> unit -> fig2_row list
+  ?jobs:int -> unit -> fig2_row list
 (** Vanilla resume broken into §3.1's six steps while the vCPU count
     sweeps 1 → 36. *)
 
@@ -97,7 +96,7 @@ type fig3_row = {
 
 val fig3 :
   ?profile:profile -> ?repeats:int -> ?seed:int -> ?vcpus:int list ->
-  ?jobs:int -> ?chunk:int -> unit -> fig3_row list
+  ?jobs:int -> unit -> fig3_row list
 
 type fig3_summary = {
   coal_improvement_max : float;  (** fraction of vanilla saved, peak *)
@@ -118,7 +117,7 @@ type fig4_cell = {
 }
 
 val fig4 :
-  ?profile:profile -> ?repeats:int -> ?seed:int -> ?jobs:int -> ?chunk:int ->
+  ?profile:profile -> ?repeats:int -> ?seed:int -> ?jobs:int ->
   unit -> fig4_cell list
 (** Categories × (cold, restore, warm, HORSE). *)
 
@@ -136,8 +135,8 @@ type overhead_row = {
 }
 
 val overhead :
-  ?profile:profile -> ?seed:int -> ?vcpus:int list -> ?jobs:int ->
-  ?chunk:int -> unit -> overhead_row list
+  ?profile:profile -> ?seed:int -> ?vcpus:int list -> ?jobs:int -> unit ->
+  overhead_row list
 
 (** {1 §5.4 — colocation with longer-running functions} *)
 
@@ -160,7 +159,7 @@ type colocation_row = {
 
 val colocation :
   ?profile:profile -> ?seed:int -> ?duration_s:float -> ?repeats:int ->
-  ?vcpus:int list -> ?jobs:int -> ?chunk:int -> ?shards:int -> unit ->
+  ?vcpus:int list -> ?jobs:int -> ?shards:int -> unit ->
   colocation_row list
 (** Thumbnail invocations driven by an Azure-shaped 30 s arrival
     chunk, colocated with 10 uLL resumes per second, vanilla vs
@@ -270,7 +269,7 @@ type fault_row = {
 
 val faults :
   ?profile:profile -> ?seed:int -> ?duration_s:float -> ?rates:float list ->
-  ?jobs:int -> ?chunk:int -> ?shards:int ->
+  ?jobs:int -> ?shards:int ->
   ?policy:Horse_faas.Cluster.Policy.t -> unit -> fault_row list
 (** Sweep per-trigger fault rates (default 0 %, 0.1 %, 1 %, 10 %) over
     an Azure-shaped uLL storm on a 4-server cluster running
@@ -278,7 +277,7 @@ val faults :
     pools.  Latency percentiles are honest: every failed rung, retry
     wait and slowdown is inside the records.  The 0 % row is
     bit-identical to a run with no fault plan at all, and rows are
-    bit-identical for every [jobs]/[chunk].  [shards] switches each
+    bit-identical for every [jobs].  [shards] switches each
     cell onto a sharded cluster (rows then include the placement
     delay, and are bit-identical for every [shards] value). *)
 
@@ -463,4 +462,4 @@ type summary = {
 }
 
 val summary :
-  ?profile:profile -> ?seed:int -> ?jobs:int -> ?chunk:int -> unit -> summary
+  ?profile:profile -> ?seed:int -> ?jobs:int -> unit -> summary

@@ -371,14 +371,11 @@ type t = {
   (* Fleet-wide completion log: one packed (slot, server) int per
      completion, in router-observed order.  The slot indexes the
      server platform's trigger-record arena, so the log itself costs
-     one word per trigger; the boxed [(server, record)] list the old
-     code consed per completion is now materialized on demand (and
-     memoized) by [records]. *)
+     one word per trigger; readers walk it with [iter_records] /
+     [fold_records] and box a row only via [Platform.record_of_slot]. *)
   srv_bits : int;
   mutable log : int array;
   mutable log_len : int;
-  mutable records_cache : (int * Platform.record) list;
-  mutable records_cache_len : int;
   mutable rejected : rejection list;  (* newest first *)
 }
 
@@ -502,8 +499,6 @@ let make ~servers ~policy ~e2e ~topology ~cost ~keep_alive ~seed
       srv_bits;
       log = Array.make 64 0;
       log_len = 0;
-      records_cache = [];
-      records_cache_len = 0;
       rejected = [];
     }
   in
@@ -954,7 +949,9 @@ let run ?until t =
            the synchronization barrier, and its happens-before is what
            publishes each round's shard writes back to the
            coordinator.  Strand->domain pinning is stable for the
-           life of the team, so per-shard working sets stay warm. *)
+           life of the team, so per-shard working sets stay warm.
+           Called from inside another round (a sweep task on
+           [Team.map]), the team runs every strand inline. *)
         let team = Team.shared ~width:s.exec_shards in
         Some (fun job -> Team.run team job)
     in
@@ -977,22 +974,6 @@ let fold_records t ~init ~f =
     acc := f !acc (packed land mask) (packed lsr t.srv_bits)
   done;
   !acc
-
-(* Compatibility shim over the packed log, memoized on log length
-   (the log is append-only), like [Platform.records]. *)
-let records t =
-  if t.log_len <> t.records_cache_len then begin
-    let mask = (1 lsl t.srv_bits) - 1 in
-    let l = ref [] in
-    for k = t.log_len - 1 downto 0 do
-      let packed = t.log.(k) in
-      let server = packed land mask and slot = packed lsr t.srv_bits in
-      l := (server, Platform.record_of_slot t.platforms.(server) slot) :: !l
-    done;
-    t.records_cache <- !l;
-    t.records_cache_len <- t.log_len
-  end;
-  t.records_cache
 
 let rejections t = List.rev t.rejected
 

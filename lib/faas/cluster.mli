@@ -373,12 +373,6 @@ val iter_records : t -> (int -> int -> unit) -> unit
 val fold_records : t -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
 (** Like {!iter_records}: [f acc server slot]. *)
 
-val records : t -> (int * Platform.record) list
-(** All completed invocations fleet-wide, oldest first, tagged with
-    their server — the boxed compatibility view, memoized like
-    {!Platform.records}.  Prefer {!iter_records}/{!fold_records} on
-    large runs. *)
-
 val rejections : t -> rejection list
 (** All rejected triggers, oldest first. *)
 

@@ -161,8 +161,6 @@ type t = {
   live : (int, invocation) Hashtbl.t;
   mutable busy_vcpus : int;  (* vCPUs held by live invocations *)
   arena : Trigger_records.t;  (* completed invocations, append order *)
-  mutable records_cache : record list;  (* memoized [records] shim *)
-  mutable records_cache_len : int;  (* arena length the cache reflects *)
   (* per-mode interned metric handles: the trigger and completion
      paths must neither sprintf a series name nor re-hash it *)
   latency_d : Metrics.dist array;
@@ -199,8 +197,6 @@ let create ?(topology = Topology.r650) ?(cost = Cost_model.firecracker)
     live = Hashtbl.create 64;
     busy_vcpus = 0;
     arena = Trigger_records.create ();
-    records_cache = [];
-    records_cache_len = 0;
     latency_d =
       Array.init mode_count (fun i ->
           Metrics.dist_handle metrics
@@ -382,8 +378,8 @@ let schedule_expiry t fn_id sb =
            Metrics.incr t.metrics "platform.keepalive_expiries"
          end))
 
-(* Materialize the boxed compatibility record for one arena slot —
-   only the [records] shim and [Sink_record] callers pay for this. *)
+(* Materialize the boxed record for one arena slot — only readers
+   that ask for a boxed row and [Sink_record] callers pay for this. *)
 let record_of_slot t i =
   let a = t.arena in
   {
@@ -704,24 +700,6 @@ let record_count t = Trigger_records.length t.arena
 let iter_records t f = Trigger_records.iter t.arena f
 
 let fold_records t ~init ~f = Trigger_records.fold t.arena ~init ~f
-
-(* Compatibility shim: materialize the boxed-record list from the
-   arena.  Memoized on arena length — the arena is append-only between
-   [clear_records] calls, so a cache built at length N stays valid
-   until length changes; repeated calls (the old API was O(n) per
-   call, rebuilding a reversed list every time) now rebuild only when
-   new completions landed. *)
-let records t =
-  let len = Trigger_records.length t.arena in
-  if len <> t.records_cache_len then begin
-    let l = ref [] in
-    for i = len - 1 downto 0 do
-      l := record_of_slot t i :: !l
-    done;
-    t.records_cache <- !l;
-    t.records_cache_len <- len
-  end;
-  t.records_cache
 
 let live_invocations t = Hashtbl.length t.live
 

@@ -192,7 +192,7 @@ val trigger :
 (** Start one invocation now (in virtual time).  The sandbox-ready
     path runs synchronously against the scheduler state; execution
     completes after [init + exec (+ preemption)] on the engine, at
-    which point the record is appended to {!records} and
+    which point the record is appended to {!trigger_records} and
     [on_complete] fires.
 
     A [Warm s] trigger resumes under the strategy the sandbox was
@@ -240,8 +240,7 @@ val trigger_records : t -> Trigger_records.t
 val record_count : t -> int
 
 val record_of_slot : t -> int -> record
-(** Materialize the boxed {!record} for one arena slot (what
-    {!records} does for every slot).
+(** Materialize the boxed {!record} for one arena slot.
     @raise Invalid_argument on an out-of-range slot. *)
 
 val iter_records : t -> (int -> unit) -> unit
@@ -249,13 +248,6 @@ val iter_records : t -> (int -> unit) -> unit
     order, allocating nothing. *)
 
 val fold_records : t -> init:'a -> f:('a -> int -> 'a) -> 'a
-
-val records : t -> record list
-(** All completed invocations, oldest first — the boxed compatibility
-    view, materialized from the arena.  Memoized: rebuilt only when
-    new completions have landed since the last call (the pre-arena
-    implementation rebuilt a reversed list on {e every} call).  Prefer
-    {!iter_records}/{!fold_records} on large runs. *)
 
 val live_invocations : t -> int
 

@@ -1,16 +1,16 @@
-(** A persistent domain team with a reusable round barrier.
+(** The persistent domain team: the simulator's one domain runtime.
 
-    Where {!Pool} schedules irregular task batches through
-    work-stealing deques, a team runs one strand-indexed job across a
-    fixed set of domains, round after round: [run t f] executes [f w]
-    for every strand [w] in [0 .. width - 1] (strand 0 on the calling
-    domain, the rest each pinned to its own persistent domain) and
-    returns only when every strand has finished.  Releasing a round is
-    a single atomic increment of the round counter — a sense-reversing
-    barrier with the round number as the sense — so a round allocates
-    nothing and costs no semaphore traffic, which is what makes the
-    thousands of short synchronization rounds of
-    [Horse_sim.Shard_engine] affordable.
+    A team runs one strand-indexed job across a fixed set of domains,
+    round after round: [run t f] executes [f w] for every strand [w]
+    in [0 .. width - 1] (strand 0 on the calling domain, the rest each
+    pinned to its own persistent domain) and returns only when every
+    strand has finished.  Releasing a round is a single atomic
+    increment of the round counter — a sense-reversing barrier with
+    the round number as the sense — so a round allocates nothing and
+    costs no semaphore traffic, which is what makes the thousands of
+    short synchronization rounds of [Horse_sim.Shard_engine]
+    affordable.  {!map} fans an irregular batch over one such round:
+    every strand claims the next unclaimed item until none is left.
 
     Strand [w] always executes on the same domain for the life of the
     team, so per-strand working sets stay cache-warm across rounds.
@@ -31,9 +31,13 @@
     by strand, never by domain, so results are identical for any
     split.
 
+    A [run] or [map] started from inside a running round — of this or
+    any other team — runs all its strands inline on the calling
+    domain, so tasks may nest fan-outs freely: a nested call never
+    becomes a second coordinator of a team and cannot deadlock.
+
     If strands raise, the exception of the lowest-numbered strand is
-    re-raised after the barrier — independent of scheduling, like
-    [Pool.run_list]. *)
+    re-raised after the barrier — independent of scheduling. *)
 
 type t
 
@@ -51,9 +55,27 @@ val domains : t -> int
 
 val run : t -> (int -> unit) -> unit
 (** One barrier-delimited round: run [f w] on every strand and wait
-    for all of them.  Must only be called from one coordinating domain
-    at a time, and never from inside a running round.
+    for all of them.  Outside a round it must only be called from one
+    coordinating domain at a time; inside a round it runs every strand
+    inline, in ascending order.
     @raise Invalid_argument if the team is shut down. *)
+
+val map : t -> f:(int -> 'a -> 'b) -> 'a list -> 'b list
+(** [map t ~f xs] is [List.mapi f xs], fanned over one round: each
+    strand claims the next item index from a shared atomic counter and
+    writes that item's result slot, so results come back in list order
+    whatever the schedule.  Tasks must close over their inputs.  Every
+    item runs even if another fails; the exception of the
+    lowest-indexed failing item is then re-raised.  At width 1 this is
+    literally [List.mapi f xs].
+    @raise Invalid_argument if the team is shut down. *)
+
+val map_seeded :
+  t -> seed:int -> f:(rng:Horse_sim.Rng.t -> int -> 'a -> 'b) ->
+  'a list -> 'b list
+(** Like {!map}, but item [i] also receives a private RNG derived from
+    [(seed, i)] with {!Horse_sim.Rng.derive}: per-item streams that
+    depend neither on the width nor on the schedule. *)
 
 val rounds : t -> int
 (** Rounds released so far (lifetime of the team). *)
@@ -70,6 +92,10 @@ val with_team : width:int -> (t -> 'a) -> 'a
 (** [create], run [f], [shutdown] — exception-safe. *)
 
 val shared : width:int -> t
-(** The process-wide cached team for [width], spawned on first use —
-    the analogue of [Pool.shared].  Never shut one of these down while
-    another user might hold it. *)
+(** The process-wide cached team for [width], spawned on first use and
+    re-created if it has been shut down.  Never shut one of these down
+    while another user might hold it. *)
+
+val default_width : unit -> int
+(** [Domain.recommended_domain_count () - 1], at least 1: the default
+    [--jobs] of the command-line tools. *)

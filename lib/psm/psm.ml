@@ -352,30 +352,20 @@ module Plan = struct
     let target = Index.target index in
     let n = t.nseg in
     let workers = min domains (max n 1) in
+    (* strand [w] handles segments w, w+workers, w+2·workers …;
+       distinct keys touch disjoint chain cells, so the strands need
+       no mutual exclusion.  The strands run on the process-wide
+       Horse_parallel team of that width (inline at width 1): repeated
+       merges reuse its domains instead of paying a spawn/join per
+       resume. *)
     if n > 0 then
-      if workers = 1 then
-        for i = 0 to n - 1 do
-          splice_one t index target i
-        done
-      else begin
-        (* strand [w] handles segments w, w+workers, w+2·workers …;
-           distinct keys touch disjoint chain cells, so the strands
-           need no mutual exclusion.  The strands run on the
-           process-wide Horse_parallel pool: repeated merges reuse
-           its domains instead of paying a spawn/join per resume. *)
-        let strand w () =
+      Horse_parallel.Team.run (Horse_parallel.Team.shared ~width:workers)
+        (fun w ->
           let i = ref w in
           while !i < n do
             splice_one t index target !i;
             i := !i + workers
-          done
-        in
-        ignore
-          (Horse_parallel.Pool.run_list
-             (Horse_parallel.Pool.shared ())
-             (List.init workers strand)
-            : unit list)
-      end;
+          done);
     commit t ~target ~source
 
   let is_consistent t ~index ~source =

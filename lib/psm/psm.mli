@@ -153,8 +153,9 @@ module Plan : sig
     source:'a Arena_list.t ->
     stats
   (** Same, splicing segments from up to [domains] parallel strands
-      of the shared {!Horse_parallel.Pool} — the no-mutual-exclusion
-      claim, executed for real, without a spawn/join per merge.
+      of the shared {!Horse_parallel.Team} of that width — the
+      no-mutual-exclusion claim, executed for real, without a
+      spawn/join per merge.
       [domains = 1] splices inline.
       @raise Invalid_argument if [domains < 1]. *)
 

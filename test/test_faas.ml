@@ -166,7 +166,7 @@ let test_records_accumulate () =
   Alcotest.(check int) "live before run" 3 (Platform.live_invocations platform);
   Engine.run engine;
   Alcotest.(check int) "live drained" 0 (Platform.live_invocations platform);
-  Alcotest.(check int) "records" 3 (List.length (Platform.records platform))
+  Alcotest.(check int) "records" 3 (Platform.record_count platform)
 
 let test_concurrent_warm_pool_exhaustion () =
   let _, platform = fresh () in
@@ -578,7 +578,7 @@ let test_cluster_warm_first () =
   in
   Alcotest.(check int) "routed to the warm server" 1 pick;
   Engine.run engine;
-  Alcotest.(check int) "one completion" 1 (List.length (Cluster.records cluster))
+  Alcotest.(check int) "one completion" 1 (Cluster.record_count cluster)
 
 let test_cluster_warm_exhausted_rejects () =
   (* a fleet-wide dry pool is a typed rejection, not an exception
@@ -645,7 +645,7 @@ let test_cluster_end_to_end () =
   done;
   Engine.run engine;
   Alcotest.(check int) "30 completions" 30
-    (List.length (Cluster.records cluster));
+    (Cluster.record_count cluster);
   Alcotest.(check int) "pool restored" 9 (Cluster.pool_size cluster ~name:"slow");
   let counts = Cluster.triggers_per_server cluster in
   Alcotest.(check bool) "every server participated" true
@@ -898,9 +898,8 @@ module Batch = Horse_trace.Batch
 
 (* Every completion is observed twice — through the boxed on_complete
    sink (the oracle list) and through the struct-of-arrays arena.
-   After every op the arena views (the memoized [records] shim,
-   [fold_records] + [record_of_slot], and the int columns) must agree
-   with the oracle exactly. *)
+   After every op the arena views ([fold_records] + [record_of_slot]
+   and the int columns) must agree with the oracle exactly. *)
 type arena_op = Provision of int | Trigger | Advance of int (* us *)
 
 let arena_spec =
@@ -945,8 +944,6 @@ let arena_spec =
             Some
               (Printf.sprintf "record_count %d, oracle saw %d"
                  (Platform.record_count platform) n)
-          else if Platform.records platform <> expected then
-            Some "memoized records shim disagrees with the oracle"
           else
             let rebuilt =
               Platform.fold_records platform ~init:[] ~f:(fun acc slot ->
@@ -977,6 +974,13 @@ let test_arena_oracle () = Harness.check arena_spec
 (* ------------------------------------------------------------------ *)
 (* Batched vs closure-per-trigger ingestion                            *)
 (* ------------------------------------------------------------------ *)
+
+(* every fleet-wide completion as a boxed [(server, record)], log order *)
+let boxed_records cluster =
+  List.rev
+    (Cluster.fold_records cluster ~init:[] ~f:(fun acc server slot ->
+         (server, Platform.record_of_slot (Cluster.server cluster server) slot)
+         :: acc))
 
 let test_batch_matches_closure_ingestion () =
   let mk () =
@@ -1014,7 +1018,7 @@ let test_batch_matches_closure_ingestion () =
   Cluster.schedule_batch ~window:1024 cluster_b batch;
   Cluster.run cluster_b;
   Alcotest.(check bool) "window >= n bit-identical to closures" true
-    (Cluster.records cluster_a = Cluster.records cluster_b);
+    (boxed_records cluster_a = boxed_records cluster_b);
   Alcotest.(check bool) "rejections also identical" true
     (Cluster.rejections cluster_a = Cluster.rejections cluster_b);
   (* a small window re-runs deterministically and loses nothing *)
@@ -1025,10 +1029,10 @@ let test_batch_matches_closure_ingestion () =
   Cluster.schedule_batch ~window:7 cluster_d batch;
   Cluster.run cluster_d;
   Alcotest.(check bool) "windowed ingestion deterministic" true
-    (Cluster.records cluster_c = Cluster.records cluster_d);
+    (boxed_records cluster_c = boxed_records cluster_d);
   Alcotest.(check int) "windowed ingestion completes the same count"
-    (List.length (Cluster.records cluster_a))
-    (List.length (Cluster.records cluster_c))
+    (Cluster.record_count cluster_a)
+    (Cluster.record_count cluster_c)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics surface                                                     *)
@@ -1086,7 +1090,7 @@ let prop_platform_conservation =
                  | exception Platform.No_warm_sandbox _ -> ())))
         script;
       Engine.run ~until:(Time.of_ns 60_000_000_000) engine;
-      List.length (Platform.records platform) = !attempted
+      Platform.record_count platform = !attempted
       && Platform.live_invocations platform = 0
       && Platform.pool_size platform ~name:"nat" >= pool)
 

@@ -52,7 +52,9 @@ let dump_record buf (server, (r : Platform.record)) =
 
 let dump_cluster cluster =
   let buf = Buffer.create 4096 in
-  List.iter (dump_record buf) (Cluster.records cluster);
+  Cluster.iter_records cluster (fun server slot ->
+      dump_record buf
+        (server, Platform.record_of_slot (Cluster.server cluster server) slot));
   List.iter
     (fun (rj : Cluster.rejection) ->
       Buffer.add_string buf
@@ -115,15 +117,14 @@ let test_latency_identity_under_faults () =
      fallback rungs, retries and slowdowns are all inside the record,
      never hidden beside it. *)
   let cluster = storm () in
-  let records = Cluster.records cluster in
-  Alcotest.(check bool) "some invocations completed" true (records <> []);
-  List.iter
-    (fun (_, (r : Platform.record)) ->
+  Alcotest.(check bool) "some invocations completed" true
+    (Cluster.record_count cluster > 0);
+  Cluster.iter_records cluster (fun server slot ->
+      let r = Platform.record_of_slot (Cluster.server cluster server) slot in
       Alcotest.(check int)
         "completed_at - triggered_at = record_total"
         (Time.span_to_ns (Platform.record_total r))
         (Time.span_to_ns (Time.diff r.Platform.completed_at r.Platform.triggered_at)))
-    records
 
 (* ------------------------------------------------------------------ *)
 (* Crash-during-resume leaves the scheduler consistent                 *)
@@ -203,8 +204,9 @@ let test_fallback_ladder_reaches_cold () =
   Platform.provision platform ~name:"ull" ~count:2 ~strategy:Sandbox.Horse;
   Platform.trigger platform ~name:"ull" ~mode:(Platform.Warm Sandbox.Horse) ();
   Engine.run engine;
-  (match Platform.records platform with
-  | [ r ] ->
+  (match Platform.record_count platform with
+  | 1 ->
+    let r = Platform.record_of_slot platform 0 in
     Alcotest.(check string) "served cold" "cold"
       (Platform.mode_name r.Platform.mode);
     Alcotest.(check int) "honest latency"
@@ -214,7 +216,7 @@ let test_fallback_ladder_reaches_cold () =
        on top, so init must exceed the pure cold cost *)
     Alcotest.(check bool) "burned rungs charged" true
       (Time.span_to_ns r.Platform.init > 1_500_000_000)
-  | rs -> Alcotest.failf "expected exactly one record, got %d" (List.length rs));
+  | n -> Alcotest.failf "expected exactly one record, got %d" n);
   let m = Platform.metrics platform in
   Alcotest.(check int) "warm->restore descent" 1
     (Metrics.counter m "platform.fallbacks.warm-horse-to-restore");
@@ -236,7 +238,7 @@ let test_total_chaos_terminates () =
   Platform.register platform ull_def;
   Platform.trigger platform ~name:"ull" ~mode:(Platform.Warm Sandbox.Horse) ();
   Engine.run engine;
-  Alcotest.(check int) "no records" 0 (List.length (Platform.records platform));
+  Alcotest.(check int) "no records" 0 (Platform.record_count platform);
   Alcotest.(check int) "aborted" 1
     (Metrics.counter (Platform.metrics platform) "platform.aborts")
 
@@ -385,8 +387,9 @@ let test_backoff_charged_visible_midladder () =
   Alcotest.(check int) "doomed attempt published nothing" 0 !midladder_count;
   Alcotest.(check int) "crashed once, retried once" 1
     (Metrics.counter (Platform.metrics platform) "platform.retries");
-  (match Platform.records platform with
-  | [ r ] ->
+  (match Platform.record_count platform with
+  | 1 ->
+    let r = Platform.record_of_slot platform 0 in
     let d = init_dist () in
     Alcotest.(check int) "exactly one observation" 1 (Metrics.dist_count d);
     Alcotest.(check (float 0.5)) "observation = charged init"
@@ -396,7 +399,7 @@ let test_backoff_charged_visible_midladder () =
        1 ms backoff alone *)
     Alcotest.(check bool) "backoff visible in init" true
       (Time.span_to_ns r.Platform.init > Time.span_to_ns backoff)
-  | rs -> Alcotest.failf "expected exactly one record, got %d" (List.length rs))
+  | n -> Alcotest.failf "expected exactly one record, got %d" n)
 
 (* ------------------------------------------------------------------ *)
 (* Exception safety: a failed trigger is a no-op                       *)
@@ -407,7 +410,7 @@ let platform_snapshot engine platform =
     ([
        ("pool.ull", string_of_int (Platform.pool_size platform ~name:"ull"));
        ("live", string_of_int (Platform.live_invocations platform));
-       ("records", string_of_int (List.length (Platform.records platform)));
+       ("records", string_of_int (Platform.record_count platform));
        ("pending", string_of_int (Engine.pending engine));
        ("now", string_of_int (Time.to_ns (Engine.now engine)));
      ]

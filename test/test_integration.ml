@@ -118,27 +118,24 @@ let test_fleet_under_trace_storm () =
                ignore (Cluster.trigger cluster ~name:"fw" ~mode:Platform.Cold ()))))
     arrivals;
   Engine.run engine;
-  let records = Cluster.records cluster in
   Alcotest.(check int) "every trigger completed"
     (List.length arrivals)
-    (List.length records);
+    (Cluster.record_count cluster);
   Alcotest.(check int) "nothing live" 0 (Cluster.live_invocations cluster);
   Alcotest.(check int) "pool restored" 6 (Cluster.pool_size cluster ~name:"fw");
   (* warm-first routing keeps the fast path dominant *)
   let warm =
-    List.length
-      (List.filter
-         (fun (_, r) ->
-           match r.Platform.mode with
-           | Platform.Warm Sandbox.Horse -> true
-           | Platform.Warm _ | Platform.Cold | Platform.Restore -> false)
-         records)
+    Cluster.fold_records cluster ~init:0 ~f:(fun n server slot ->
+        let r = Platform.record_of_slot (Cluster.server cluster server) slot in
+        match r.Platform.mode with
+        | Platform.Warm Sandbox.Horse -> n + 1
+        | Platform.Warm _ | Platform.Cold | Platform.Restore -> n)
   in
   Alcotest.(check bool)
     (Printf.sprintf "horse path dominates (%d/%d, %d fallbacks)" warm
-       (List.length records) !fallbacks)
+       (Cluster.record_count cluster) !fallbacks)
     true
-    (float_of_int warm > 0.9 *. float_of_int (List.length records))
+    (float_of_int warm > 0.9 *. float_of_int (Cluster.record_count cluster))
 
 (* ------------------------------------------------------------------ *)
 (* Scenario 3: lifecycle driven entirely through the management API    *)
@@ -244,11 +241,12 @@ let test_full_stack_determinism () =
                ~mode:(Platform.Warm Sandbox.Horse) ()))
     done;
     Engine.run engine;
-    List.map
-      (fun r ->
-        ( Time.to_ns r.Platform.triggered_at,
-          Time.span_to_ns (Platform.record_total r) ))
-      (Platform.records platform)
+    List.rev
+      (Platform.fold_records platform ~init:[] ~f:(fun acc slot ->
+           let r = Platform.record_of_slot platform slot in
+           ( Time.to_ns r.Platform.triggered_at,
+             Time.span_to_ns (Platform.record_total r) )
+           :: acc))
   in
   let a = run () and b = run () in
   Alcotest.(check int) "same cardinality" (List.length a) (List.length b);

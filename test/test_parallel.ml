@@ -1,72 +1,33 @@
-(* Tests for Horse_parallel: work-stealing deque semantics, pool
-   lifecycle / result ordering / exception propagation, deterministic
-   seed splitting, and the headline guarantee that parallel
-   experiment sweeps are bit-identical to sequential ones. *)
+(* Tests for Horse_parallel: the persistent domain team's barrier
+   rounds, its self-scheduling [map] (result ordering, exception
+   propagation, inline nesting), deterministic seed splitting, and the
+   headline guarantee that parallel experiment sweeps are
+   bit-identical to sequential ones. *)
 
-module Deque = Horse_parallel.Deque
-module Pool = Horse_parallel.Pool
+module Team = Horse_parallel.Team
 module Rng = Horse_sim.Rng
 module E = Horse.Experiments
 
 (* ------------------------------------------------------------------ *)
-(* Deque                                                               *)
+(* Team.map lifecycle & ordering                                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_deque_owner_lifo () =
-  let d = Deque.create () in
-  List.iter (Deque.push d) [ 1; 2; 3 ];
-  Alcotest.(check int) "length" 3 (Deque.length d);
-  Alcotest.(check (list (option int)))
-    "pop newest first"
-    [ Some 3; Some 2; Some 1; None ]
-    (List.init 4 (fun _ -> Deque.pop d))
-
-let test_deque_thief_fifo () =
-  let d = Deque.create () in
-  List.iter (Deque.push d) [ 1; 2; 3 ];
-  Alcotest.(check (list (option int)))
-    "steal oldest first"
-    [ Some 1; Some 2; Some 3; None ]
-    (List.init 4 (fun _ -> Deque.steal d))
-
-let test_deque_grows_both_ends () =
-  let d = Deque.create () in
-  (* far beyond the initial capacity, with interleaved consumption *)
-  for i = 0 to 99 do
-    Deque.push d i
-  done;
-  let stolen = List.init 50 (fun _ -> Option.get (Deque.steal d)) in
-  Alcotest.(check (list int)) "stolen prefix in order" (List.init 50 Fun.id)
-    stolen;
-  for i = 100 to 149 do
-    Deque.push d i
-  done;
-  Alcotest.(check int) "length tracks" 100 (Deque.length d);
-  let popped = List.init 100 (fun _ -> Option.get (Deque.pop d)) in
-  Alcotest.(check (list int))
-    "popped suffix newest-first"
-    (List.init 50 (fun i -> 149 - i) @ List.init 50 (fun i -> 99 - i))
-    popped;
-  Alcotest.(check (option int)) "empty" None (Deque.pop d)
-
-(* ------------------------------------------------------------------ *)
-(* Pool lifecycle & ordering                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_pool_lifecycle () =
-  let pool = Pool.create ~jobs:4 () in
-  Alcotest.(check int) "jobs" 4 (Pool.jobs pool);
+let test_map_lifecycle () =
+  let team = Team.create ~width:4 () in
+  Alcotest.(check int) "width" 4 (Team.width team);
   Alcotest.(check (list int)) "runs" [ 1; 2; 3 ]
-    (Pool.run_list pool [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ]);
-  Pool.shutdown pool;
-  Pool.shutdown pool (* idempotent *);
-  Alcotest.check_raises "submit after shutdown"
-    (Invalid_argument "Pool.run_list: pool is shut down") (fun () ->
-      ignore (Pool.run_list pool [ (fun () -> 0) ]))
+    (Team.map team ~f:(fun _ x -> x) [ 1; 2; 3 ]);
+  Team.shutdown team;
+  Team.shutdown team (* idempotent *);
+  Alcotest.check_raises "map after shutdown"
+    (Invalid_argument "Team.map: team is shut down") (fun () ->
+      ignore (Team.map team ~f:(fun _ x -> x) [ 0 ]))
 
-let test_pool_rejects_zero_jobs () =
-  Alcotest.check_raises "jobs < 1" (Invalid_argument "Pool.create: jobs < 1")
-    (fun () -> ignore (Pool.create ~jobs:0 ()))
+let test_rejects_zero_width () =
+  Alcotest.check_raises "create" (Invalid_argument "Team.create: width < 1")
+    (fun () -> ignore (Team.create ~width:0 ()));
+  Alcotest.check_raises "shared" (Invalid_argument "Team.shared: width < 1")
+    (fun () -> ignore (Team.shared ~width:0))
 
 (* deliberately unbalanced tasks: completion order differs wildly
    from submission order, results must not *)
@@ -78,34 +39,36 @@ let skewed_square i x =
   ignore (Atomic.get spin);
   x * x
 
-let test_pool_map_preserves_order () =
+let test_map_preserves_order () =
   let xs = List.init 200 Fun.id in
   let expected = List.mapi skewed_square xs in
-  Pool.with_pool ~jobs:4 (fun pool ->
+  Team.with_team ~width:4 (fun team ->
       Alcotest.(check (list int))
         "task order, not completion order" expected
-        (Pool.map pool ~f:skewed_square xs))
+        (Team.map team ~f:skewed_square xs))
 
-let test_pool_jobs1_is_inline () =
-  (* jobs = 1 must not spawn: tasks run on the calling domain *)
+let test_width1_is_inline () =
+  (* width = 1 must not spawn: tasks run on the calling domain *)
   let self = Domain.self () in
-  Pool.with_pool ~jobs:1 (fun pool ->
+  Team.with_team ~width:1 (fun team ->
+      Alcotest.(check int) "no domains" 0 (Team.domains team);
       let domains =
-        Pool.run_list pool (List.init 5 (fun _ () -> Domain.self ()))
+        Team.map team ~f:(fun _ () -> Domain.self ()) (List.init 5 ignore)
       in
       List.iter
         (fun d -> Alcotest.(check bool) "same domain" true (d = self))
         domains)
 
-let test_pool_nested_submission () =
-  (* a task may itself fan out on the same pool (the submitter helps,
-     so this must not deadlock even with more tasks than strands) *)
-  Pool.with_pool ~jobs:3 (fun pool ->
+let test_nested_map () =
+  (* a task may itself fan out on the same team: the nested map runs
+     inline, so this must not deadlock even with more tasks than
+     strands *)
+  Team.with_team ~width:3 (fun team ->
       let totals =
-        Pool.map pool
+        Team.map team
           ~f:(fun i _ ->
             List.fold_left ( + ) 0
-              (Pool.map pool ~f:(fun j _ -> (10 * i) + j) (List.init 8 Fun.id)))
+              (Team.map team ~f:(fun j _ -> (10 * i) + j) (List.init 8 Fun.id)))
           (List.init 4 Fun.id)
       in
       Alcotest.(check (list int)) "nested results"
@@ -116,8 +79,8 @@ let test_pool_nested_submission () =
 (* Exception propagation                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_pool_exception_propagation () =
-  Pool.with_pool ~jobs:4 (fun pool ->
+let test_map_exception_propagation () =
+  Team.with_team ~width:4 (fun team ->
       let completed = Array.make 16 false in
       let task i () =
         if i = 11 then failwith "task-11"
@@ -126,7 +89,7 @@ let test_pool_exception_propagation () =
       in
       (* the lowest-indexed failure wins, whatever the schedule *)
       Alcotest.check_raises "first failure by index" (Failure "task-5")
-        (fun () -> ignore (Pool.run_list pool (List.init 16 task)));
+        (fun () -> ignore (Team.map team ~f:task (List.init 16 ignore)));
       (* the batch settled: every non-failing task still ran *)
       Array.iteri
         (fun i done_ ->
@@ -134,14 +97,21 @@ let test_pool_exception_propagation () =
             (Printf.sprintf "task %d settled" i)
             (i <> 5 && i <> 11) done_)
         completed;
-      (* and the pool survives for the next batch *)
-      Alcotest.(check (list int)) "pool still usable" [ 7 ]
-        (Pool.run_list pool [ (fun () -> 7) ]))
+      (* and the team survives for the next batch *)
+      Alcotest.(check (list int)) "team still usable" [ 7 ]
+        (Team.map team ~f:(fun _ x -> x) [ 7 ]))
 
-let test_pool_exception_inline () =
-  Pool.with_pool ~jobs:1 (fun pool ->
+let test_map_exception_inline () =
+  Team.with_team ~width:1 (fun team ->
       Alcotest.check_raises "inline too" (Failure "boom") (fun () ->
-          ignore (Pool.run_list pool [ (fun () -> failwith "boom") ])))
+          ignore (Team.map team ~f:(fun _ () -> failwith "boom") [ () ])))
+
+let test_shared_team () =
+  let width = Team.default_width () in
+  let a = Team.shared ~width and b = Team.shared ~width in
+  Alcotest.(check bool) "one process-wide team per width" true (a == b);
+  Alcotest.(check (list int)) "usable" [ 0; 1; 4; 9 ]
+    (Team.map a ~f:(fun i _ -> i * i) (List.init 4 Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic seed splitting                                        *)
@@ -149,80 +119,102 @@ let test_pool_exception_inline () =
 
 let draw ~rng _i _x = Rng.int rng 1_000_000
 
-let test_map_seeded_jobs_invariant () =
+let test_map_seeded_width_invariant () =
   let xs = List.init 64 Fun.id in
-  let seq = Pool.with_pool ~jobs:1 (fun p -> Pool.map_seeded p ~seed:42 ~f:draw xs) in
-  let par = Pool.with_pool ~jobs:4 (fun p -> Pool.map_seeded p ~seed:42 ~f:draw xs) in
-  Alcotest.(check (list int)) "streams independent of jobs" seq par;
-  let par' = Pool.with_pool ~jobs:4 (fun p -> Pool.map_seeded p ~seed:42 ~f:draw xs) in
-  Alcotest.(check (list int)) "and reproducible" par par'
+  let seeded width =
+    Team.with_team ~width (fun t -> Team.map_seeded t ~seed:42 ~f:draw xs)
+  in
+  let seq = seeded 1 and par = seeded 4 in
+  Alcotest.(check (list int)) "streams independent of width" seq par;
+  Alcotest.(check (list int)) "and reproducible" par (seeded 4)
 
 let test_map_seeded_streams_differ () =
   let xs = List.init 32 Fun.id in
   let draws =
-    Pool.with_pool ~jobs:1 (fun p -> Pool.map_seeded p ~seed:7 ~f:draw xs)
+    Team.with_team ~width:1 (fun t -> Team.map_seeded t ~seed:7 ~f:draw xs)
   in
   let distinct = List.sort_uniq Int.compare draws in
   (* 32 six-digit draws colliding would be a broken derivation *)
   Alcotest.(check int) "per-index streams differ" (List.length draws)
     (List.length distinct)
 
-let test_shared_pool () =
-  let a = Pool.shared () and b = Pool.shared () in
-  Alcotest.(check bool) "one process-wide pool" true (a == b);
-  Alcotest.(check (list int)) "usable" [ 0; 1; 4; 9 ]
-    (Pool.map a ~f:(fun i _ -> i * i) (List.init 4 Fun.id))
-
 (* ------------------------------------------------------------------ *)
-(* Chunked submission                                                  *)
+(* Nesting: sharded clusters and maps inside a running map             *)
 (* ------------------------------------------------------------------ *)
 
-let test_chunk_results_invariant () =
-  (* chunking changes scheduling granularity, never results or order;
-     use skewed tasks so chunks genuinely finish out of order *)
-  let xs = List.init 100 Fun.id in
-  let expected = List.mapi skewed_square xs in
-  Pool.with_pool ~jobs:4 (fun pool ->
-      List.iter
-        (fun chunk ->
-          Alcotest.(check (list int))
-            (Printf.sprintf "chunk %d" chunk)
-            expected
-            (Pool.map ~chunk pool ~f:skewed_square xs))
-        [ 1; 7; 100; 1000 ])
+module Engine = Horse_sim.Engine
+module Time = Horse_sim.Time_ns
+module Sandbox = Horse_vmm.Sandbox
+module Platform = Horse_faas.Platform
+module Cluster = Horse_faas.Cluster
+module Function_def = Horse_faas.Function_def
 
-let test_chunk_rejects_nonpositive () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      Alcotest.check_raises "chunk < 1"
-        (Invalid_argument "Pool.run_list: chunk < 1") (fun () ->
-          ignore (Pool.run_list ~chunk:0 pool [ (fun () -> 1) ])))
-
-let test_chunk_exception_lowest_index () =
-  (* the lowest-indexed failure must win even when the failures land
-     in different chunks on different workers *)
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let task i () = if i = 9 || i = 37 then failwith (string_of_int i) in
-      List.iter
-        (fun chunk ->
-          Alcotest.check_raises
-            (Printf.sprintf "chunk %d: first failure by index" chunk)
-            (Failure "9")
-            (fun () -> ignore (Pool.run_list ~chunk pool (List.init 64 task))))
-        [ 1; 7; 64 ])
-
-let test_map_seeded_chunk_invariant () =
-  let xs = List.init 64 Fun.id in
-  let reference =
-    Pool.with_pool ~jobs:1 (fun p -> Pool.map_seeded p ~seed:42 ~f:draw xs)
+(* A small 2-server storm on a 2-shard cluster, whose [Cluster.run]
+   drives [Team.shared ~width:2] itself; returns every completion. *)
+let sharded_storm_rows seed =
+  let cluster =
+    Cluster.create_sharded ~servers:2
+      ~topology:(Horse_cpu.Topology.create ~sockets:1 ~cores_per_socket:8 ())
+      ~seed ~shards:2 ()
   in
-  Pool.with_pool ~jobs:4 (fun p ->
-      List.iter
-        (fun chunk ->
-          Alcotest.(check (list int))
-            (Printf.sprintf "chunk %d == sequential" chunk)
-            reference
-            (Pool.map_seeded ~chunk p ~seed:42 ~f:draw xs))
-        [ 1; 7; 64 ])
+  Cluster.register cluster
+    (Function_def.create ~name:"ull" ~vcpus:2 ~memory_mb:512
+       ~exec:(Function_def.Ull Horse_workload.Category.Cat2) ());
+  Cluster.provision cluster ~name:"ull" ~total:6 ~strategy:Sandbox.Horse;
+  let rng = Rng.create ~seed:(seed + 1) in
+  for _ = 1 to 100 do
+    let after = Time.span_ns (Rng.int rng 20_000_000) in
+    ignore
+      (Engine.schedule (Cluster.engine cluster) ~after (fun _ ->
+           ignore
+             (Cluster.trigger cluster ~name:"ull"
+                ~mode:(Platform.Warm Sandbox.Horse) ())))
+  done;
+  Cluster.run cluster;
+  List.rev
+    (Cluster.fold_records cluster ~init:[] ~f:(fun acc server slot ->
+         let r = Platform.record_of_slot (Cluster.server cluster server) slot in
+         ( server,
+           Platform.mode_name r.Platform.mode,
+           Time.to_ns r.Platform.triggered_at,
+           Time.to_ns r.Platform.completed_at )
+         :: acc))
+
+let test_sharded_cluster_inside_map () =
+  (* the outer map and each task's sharded run share one team: the
+     nested rounds must run inline instead of coordinating the team
+     from two domains at once *)
+  let rows width =
+    Team.map (Team.shared ~width) ~f:(fun _ seed -> sharded_storm_rows seed)
+      [ 1; 42 ]
+  in
+  let reference = rows 1 in
+  List.iter
+    (fun storm ->
+      Alcotest.(check bool)
+        "storm completed triggers" true
+        (List.length storm > 50))
+    reference;
+  Alcotest.(check bool) "width 2 == width 1" true (rows 2 = reference)
+
+let test_map_inside_map_same_team () =
+  let team = Team.shared ~width:4 in
+  let outer =
+    Team.map team
+      ~f:(fun i _ ->
+        let self = Domain.self () in
+        Team.map team
+          ~f:(fun j _ -> ((10 * i) + j, Domain.self () = self))
+          (List.init 8 Fun.id))
+      (List.init 6 Fun.id)
+  in
+  Alcotest.(check (list (list int)))
+    "sequential result"
+    (List.init 6 (fun i -> List.init 8 (fun j -> (10 * i) + j)))
+    (List.map (List.map fst) outer);
+  Alcotest.(check bool)
+    "inner tasks ran inline on their outer task's domain" true
+    (List.for_all (List.for_all snd) outer)
 
 (* ------------------------------------------------------------------ *)
 (* Experiments: parallel == sequential, bit for bit                    *)
@@ -237,22 +229,6 @@ let test_table1_jobs_invariant () =
         (Printf.sprintf "seed %d: jobs:4 == jobs:1" seed)
         true
         (sequential = parallel))
-    [ 1; 42; 1337 ]
-
-let test_table1_chunk_invariant () =
-  (* chunked parallel submission must stay bit-identical to sequential
-     for every seed and every granularity, including one chunk per
-     task and everything in a single chunk *)
-  List.iter
-    (fun seed ->
-      let sequential = E.table1 ~seed ~jobs:1 () in
-      List.iter
-        (fun chunk ->
-          Alcotest.(check bool)
-            (Printf.sprintf "seed %d: chunk %d == sequential" seed chunk)
-            true
-            (sequential = E.table1 ~seed ~jobs:4 ~chunk ()))
-        [ 1; 7; 1000 ])
     [ 1; 42; 1337 ]
 
 let test_fig2_fig3_jobs_invariant () =
@@ -272,14 +248,8 @@ let test_overhead_colocation_jobs_invariant () =
   Alcotest.(check bool) "colocation" true (cs = cp)
 
 (* ------------------------------------------------------------------ *)
-(* P²SM's parallel merge on the shared pool                            *)
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
 (* Team: persistent barrier rounds                                     *)
 (* ------------------------------------------------------------------ *)
-
-module Team = Horse_parallel.Team
 
 let test_team_runs_every_strand () =
   Team.with_team ~width:4 (fun team ->
@@ -351,6 +321,10 @@ let test_team_shared_cached () =
     "distinct widths distinct teams" false
     (Team.shared ~width:2 == a)
 
+(* ------------------------------------------------------------------ *)
+(* P²SM's parallel merge on the shared team                            *)
+(* ------------------------------------------------------------------ *)
+
 let test_psm_merge_on_pool () =
   let module Al = Horse_psm.Arena_list in
   let module Psm = Horse_psm.Psm in
@@ -365,7 +339,7 @@ let test_psm_merge_on_pool () =
     let plan = Psm.Plan.build ~source ~index in
     (match strategy with
     | `Sequential -> ignore (Psm.Plan.execute plan ~index ~source)
-    | `Pool n -> ignore (Psm.Plan.execute_parallel ~domains:n plan ~index ~source));
+    | `Team n -> ignore (Psm.Plan.execute_parallel ~domains:n plan ~index ~source));
     Al.to_list target
   in
   let reference = merged `Sequential in
@@ -374,56 +348,43 @@ let test_psm_merge_on_pool () =
       Alcotest.(check (list int))
         (Printf.sprintf "domains:%d == sequential" n)
         reference
-        (merged (`Pool n)))
+        (merged (`Team n)))
     [ 1; 2; 4; 8 ]
 
 let () =
   Alcotest.run "horse_parallel"
     [
-      ( "deque",
-        [
-          Alcotest.test_case "owner lifo" `Quick test_deque_owner_lifo;
-          Alcotest.test_case "thief fifo" `Quick test_deque_thief_fifo;
-          Alcotest.test_case "grows" `Quick test_deque_grows_both_ends;
-        ] );
       ( "pool",
         [
-          Alcotest.test_case "lifecycle" `Quick test_pool_lifecycle;
-          Alcotest.test_case "rejects jobs<1" `Quick test_pool_rejects_zero_jobs;
-          Alcotest.test_case "map order" `Quick test_pool_map_preserves_order;
-          Alcotest.test_case "jobs=1 inline" `Quick test_pool_jobs1_is_inline;
-          Alcotest.test_case "nested submission" `Quick
-            test_pool_nested_submission;
+          Alcotest.test_case "lifecycle" `Quick test_map_lifecycle;
+          Alcotest.test_case "rejects jobs<1" `Quick test_rejects_zero_width;
+          Alcotest.test_case "map order" `Quick test_map_preserves_order;
+          Alcotest.test_case "jobs=1 inline" `Quick test_width1_is_inline;
+          Alcotest.test_case "nested submission" `Quick test_nested_map;
           Alcotest.test_case "exception propagation" `Quick
-            test_pool_exception_propagation;
+            test_map_exception_propagation;
           Alcotest.test_case "exception inline" `Quick
-            test_pool_exception_inline;
-          Alcotest.test_case "shared pool" `Quick test_shared_pool;
-        ] );
-      ( "chunking",
-        [
-          Alcotest.test_case "results invariant" `Quick
-            test_chunk_results_invariant;
-          Alcotest.test_case "rejects chunk<1" `Quick
-            test_chunk_rejects_nonpositive;
-          Alcotest.test_case "exception lowest index" `Quick
-            test_chunk_exception_lowest_index;
-          Alcotest.test_case "map_seeded invariant" `Quick
-            test_map_seeded_chunk_invariant;
+            test_map_exception_inline;
+          Alcotest.test_case "shared pool" `Quick test_shared_team;
         ] );
       ( "seed-splitting",
         [
           Alcotest.test_case "jobs-invariant" `Quick
-            test_map_seeded_jobs_invariant;
+            test_map_seeded_width_invariant;
           Alcotest.test_case "streams differ" `Quick
             test_map_seeded_streams_differ;
+        ] );
+      ( "nesting",
+        [
+          Alcotest.test_case "sharded cluster inside map" `Quick
+            test_sharded_cluster_inside_map;
+          Alcotest.test_case "map inside map, same team" `Quick
+            test_map_inside_map_same_team;
         ] );
       ( "determinism",
         [
           Alcotest.test_case "table1 seeds 1/42/1337" `Slow
             test_table1_jobs_invariant;
-          Alcotest.test_case "table1 chunks 1/7/n" `Slow
-            test_table1_chunk_invariant;
           Alcotest.test_case "fig2+fig3" `Slow test_fig2_fig3_jobs_invariant;
           Alcotest.test_case "overhead+colocation" `Slow
             test_overhead_colocation_jobs_invariant;

@@ -49,7 +49,9 @@ let dump_cluster cluster =
   Buffer.add_string buf
     (Printf.sprintf "policy=%s pending=%d\n" (Cluster.policy_name cluster)
        (Cluster.pending_count cluster));
-  List.iter (dump_record buf) (Cluster.records cluster);
+  Cluster.iter_records cluster (fun server slot ->
+      dump_record buf
+        (server, Platform.record_of_slot (Cluster.server cluster server) slot));
   List.iter
     (fun (rj : Cluster.rejection) ->
       Buffer.add_string buf
