@@ -3,14 +3,16 @@
    Usage:  storm.exe [--quick] [--json FILE]
 
    A fleet of uLL sandboxes is booted and paused with the Horse
-   strategy, so every paused sandbox subscribes its P²SM maintenance
-   callback to the single reserved ull_runqueue.  Two things are
-   measured, both real time (not the simulator's virtual clock):
+   strategy, so every paused sandbox subscribes its P²SM plan to the
+   single reserved ull_runqueue.  Two things are measured, both real
+   time (not the simulator's virtual clock):
 
    - churn: enqueue/dequeue of probe vCPUs on the ull_runqueue while
-     0, 100 and N sandboxes are subscribed.  The per-mutation cost
-     must grow only by the per-subscriber callback (a few ns:
-     note_target_insert / note_remove on flat arrays, nothing
+     0, 100 and N sandboxes are subscribed.  A mutation appends one
+     log entry and keeps the queue's arrayB fresh; the log is replayed
+     into the paused plans in flushes, so the per-mutation cost grows
+     only by each subscriber's share of that replay (a few ns:
+     note_target_insert / note_target_remove on flat arrays, nothing
      allocated), never by a walk.
 
    - the storm itself: all N sandboxes resume back-to-back onto the
@@ -166,8 +168,8 @@ let () =
       (Printf.sprintf
          "resume_storm: %d paused uLL sandboxes (2 vCPUs each) on one \
           ull_runqueue.  Churn rows: wall ns per queue mutation as the \
-          subscriber population grows — the growth is the per-subscriber \
-          callback, not a walk.  Storm rows: wall ns per resume in the \
+          subscriber population grows — the growth is the subscribers' \
+          share of the deferred log replay, not a walk.  Storm rows: wall ns per resume in the \
           first vs last decile (%d vs ~0 bystander subscribers), plus \
           the flat virtual-time cost the calibrated model assigns."
          n n)
@@ -182,7 +184,7 @@ let () =
         Printf.sprintf "churn ns/mutation, %d subscribers" n;
         Report.ns churn_full;
       ];
-      [ "notify marginal ns/subscriber"; Report.ns (Float.max 0.0 per_sub) ];
+      [ "replay marginal ns/subscriber"; Report.ns (Float.max 0.0 per_sub) ];
       [
         Printf.sprintf "resume wall ns, first %d (most subscribers)" decile;
         Report.ns (mean wall 0 decile);
@@ -198,7 +200,10 @@ let () =
         Printf.sprintf "%s / %.0f" (Report.ns storm_wall)
           (float_of_int n /. (storm_wall /. 1e9));
       ];
-      [ "maintenance callbacks delivered"; string_of_int maintenance ];
+      [
+        "maintenance events (mutations x subscribers)";
+        string_of_int maintenance;
+      ];
       [
         "final ull_runqueue length";
         string_of_int (Runqueue.length queue);

@@ -639,8 +639,7 @@ let ablation_ull_queues ?(profile = Firecracker) ?(seed = 42) ?(sandboxes = 12)
       (* measure the balancing at the moment the whole fleet is paused *)
       List.iter (fun sb -> ignore (Vmm.pause vmm ~strategy:Sandbox.Horse sb)) fleet;
       let attached =
-        List.map
-          (fun q -> Scheduler.attached_paused scheduler q)
+        List.map Horse_sched.Runqueue.subscriber_count
           (Scheduler.ull_runqueues scheduler)
       in
       let max_share =

@@ -74,8 +74,7 @@ module Plan = struct
      ascending; segments are contiguous runs of the (sorted) source
      chain, so [heads]/[tails] chain into each other in array order.
      Flat storage makes the per-mutation maintenance (the note_target
-     operations) in-place int arithmetic: the resume-storm hot path
-     allocates nothing per notification. *)
+     operations) in-place int arithmetic that allocates nothing. *)
   type 'a t = {
     source : 'a Al.t;
     compare : 'a -> 'a -> int;
@@ -213,22 +212,22 @@ module Plan = struct
     let i = find_seg t key in
     if i >= 0 then begin
       let count = t.counts.(i) in
-      (* first element of the segment that must follow the new target
-         element, i.e. the first [a] with [v <= a] (sorted, so a
-         suffix) *)
-      let rec first_moved node walked =
-        if walked >= count then None
-        else if t.compare v (Al.value t.source node) <= 0 then
-          Some (node, walked)
-        else first_moved (Al.next t.source node) (walked + 1)
-      in
-      match first_moved t.heads.(i) 0 with
-      | None -> ()  (* every element stays before the new target node *)
-      | Some (_, 0) ->
+      (* walk to the first element of the segment that must follow the
+         new target element, i.e. the first [a] with [v <= a] (sorted,
+         so the moved part is a suffix); [walked = count] if none *)
+      let node = ref t.heads.(i) and walked = ref 0 in
+      while !walked < count && t.compare v (Al.value t.source !node) > 0 do
+        node := Al.next t.source !node;
+        incr walked
+      done;
+      let walked = !walked in
+      if walked = 0 then
         (* the whole segment moves: just re-key it (pos+1 is free —
            strictly greater keys were already shifted) *)
         t.keys.(i) <- key + 1
-      | Some (node, walked) ->
+      else if walked < count then begin
+        (* a proper suffix moves: split it off *)
+        let node = !node in
         let old_tail = t.tails.(i) in
         t.tails.(i) <- Al.prev t.source node;
         t.counts.(i) <- walked;
@@ -237,6 +236,8 @@ module Plan = struct
         t.heads.(i + 1) <- node;
         t.tails.(i + 1) <- old_tail;
         t.counts.(i + 1) <- count - walked
+      end
+      (* otherwise every element stays before the new target node *)
     end
 
   let note_target_insert t ~pos v =

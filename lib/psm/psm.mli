@@ -23,14 +23,16 @@
     it on OCaml domains.
 
     Both structures support the incremental maintenance of §4.1.3:
-    while a sandbox stays paused, every insert/remove on the
-    ull_runqueue is reflected with {!Plan.note_target_insert} /
-    {!Plan.note_target_remove} (and {!Index.note_insert} /
-    {!Index.note_remove}), and every vCPU added to the paused set
-    with {!Plan.note_source_insert}.  The maintenance path is
-    in-place over flat [int] arrays: it allocates nothing per event,
-    which is what keeps resume storms (thousands of subscribed paused
-    sandboxes) affordable. *)
+    an insert/remove on the ull_runqueue is reflected with
+    {!Plan.note_target_insert} / {!Plan.note_target_remove} (and
+    {!Index.note_insert} / {!Index.note_remove}), and a vCPU added to
+    the paused set with {!Plan.note_source_insert}.  The maintenance
+    path is in-place over flat [int] arrays and allocates nothing.
+    The run-queue layer applies the target notes lazily: a queue keeps
+    one [Index] and a bounded log of its mutations, and a paused
+    sandbox's plan replays the entries it missed when it resumes
+    (see [Horse_sched.Runqueue]) — the same calls in the same order,
+    so the merge it executes is the one eager maintenance would. *)
 
 exception Stale
 (** Raised by merge execution when the precomputed structures do not

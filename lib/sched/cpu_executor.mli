@@ -5,8 +5,8 @@
     its run queue's CPU under credit2 scheduling — pick the
     least-credit vCPU, run one timeslice, burn credit, re-enqueue if
     work remains.  Because re-enqueueing goes through
-    {!Runqueue.enqueue}, paused sandboxes' P²SM structures keep
-    receiving their notifications while real work churns the queue.
+    {!Runqueue.enqueue}, the queue logs every change for the paused
+    sandboxes' P²SM plans while real work churns it.
 
     This is what makes the ull_runqueue's 1 µs timeslice (§4.1.3)
     observable: on a 1 µs-slice queue a sub-µs function sneaks past a

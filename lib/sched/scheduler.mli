@@ -43,17 +43,10 @@ val select_normal : t -> Runqueue.t
     where a vanilla resume puts each vCPU. *)
 
 val select_ull_for_pause : t -> Runqueue.t
-(** The ull_runqueue with the fewest attached paused sandboxes; the
-    caller must bracket the attachment with {!attach_paused} /
-    {!detach_paused}.
+(** The ull_runqueue with the fewest attached paused sandboxes (its
+    {!Runqueue.subscriber_count}); a tie keeps the queue listed first
+    by {!ull_runqueues}.
     @raise Invalid_argument if no ull_runqueue is reserved. *)
-
-val attach_paused : t -> Runqueue.t -> unit
-
-val detach_paused : t -> Runqueue.t -> unit
-(** @raise Invalid_argument if the queue has no attached sandbox. *)
-
-val attached_paused : t -> Runqueue.t -> int
 
 val total_queued : t -> int
 (** vCPUs sitting on all queues together. *)

@@ -47,13 +47,12 @@ type horse_state = {
       (** the sandbox's vCPUs, pre-sorted by the scheduler's key, in
           the ull_runqueue's arena so the merge can splice them *)
   ull_queue : Horse_sched.Runqueue.t;  (** assigned at pause time *)
-  index : Horse_sched.Vcpu.t Horse_psm.Psm.Index.t;  (** arrayB *)
-  plan : Horse_sched.Vcpu.t Horse_psm.Psm.Plan.t;  (** posA *)
+  plan : Horse_sched.Vcpu.t Horse_psm.Psm.Plan.t;
+      (** posA, against the queue's arrayB ({!Horse_sched.Runqueue.index});
+          it catches up with the queue's mutation log at resume *)
   subscription : Horse_sched.Runqueue.subscription;
   precomputed : Horse_coalesce.Coalesce.Precomputed.t option;
       (** the §4.2.2 constants; [None] for [Ppsm] (vanilla load path) *)
-  mutable maintenance_events : int;
-      (** posA/arrayB refreshes while paused (§5.2's overhead) *)
 }
 
 type t

@@ -92,8 +92,8 @@ let require_state sandbox expected message =
   if not (List.mem (Sandbox.state sandbox) expected) then
     raise (Invalid_state message)
 
-(* Remove the sandbox's vCPUs from their queues; the per-queue Removed
-   notifications keep other paused sandboxes' P²SM structures fresh. *)
+(* Remove the sandbox's vCPUs from their queues; each queue logs the
+   removals for the paused sandboxes subscribed to it. *)
 let evacuate t sandbox =
   let walked = ref 0 in
   List.iter
@@ -120,7 +120,6 @@ let teardown t sandbox =
       while Al.pop_first hs.Sandbox.merge_vcpus <> None do
         ()
       done;
-      Scheduler.detach_paused t.scheduler hs.Sandbox.ull_queue;
       Sandbox.set_horse_state sandbox None
     | None -> ())
   | Sandbox.Created | Sandbox.Booting | Sandbox.Stopped | Sandbox.Crashed ->
@@ -187,53 +186,31 @@ let make_precomputed n =
   Coalesce.Precomputed.make ~alpha:pelt.Coalesce.Affine.alpha
     ~beta:pelt.Coalesce.Affine.beta ~n
 
-(* Pause-side setup of the §4.1.3 structures: merge_vcpus, arrayB,
-   posA and the subscription that keeps them fresh. *)
+(* Pause-side setup of the §4.1.3 structures: merge_vcpus and posA
+   against the queue's arrayB, and the subscription under which the
+   queue logs what posA must catch up with at resume. *)
 let build_horse_state t sandbox ~with_coalesce =
   let ull_queue = Scheduler.select_ull_for_pause t.scheduler in
-  Scheduler.attach_paused t.scheduler ull_queue;
   (* merge_vcpus lives in the queue's arena: the eventual splice is
      slot surgery, not a copy. *)
   let merge_vcpus = Al.create (Runqueue.arena ull_queue) in
   Array.iter
     (fun vcpu -> ignore (Al.insert_sorted merge_vcpus vcpu))
     (Sandbox.vcpus sandbox);
-  let index = Psm.Index.build (Runqueue.queue ull_queue) in
-  let plan = Psm.Plan.build ~source:merge_vcpus ~index in
-  let state_ref = ref None in
-  (* hoisted: the callback fires for every queue mutation while the
-     sandbox is paused — don't re-hash the counter name each time *)
-  let maintenance_total = Metrics.counter_ref t.metrics "psm.maintenance_events" in
-  let on_change event ~pos ~node =
-    (match event with
-    | Runqueue.Inserted ->
-      Psm.Plan.note_target_insert plan ~pos
-        (Al.value (Runqueue.queue ull_queue) node);
-      Psm.Index.note_insert index ~pos node
-    | Runqueue.Removed ->
-      Psm.Plan.note_target_remove plan ~pos;
-      Psm.Index.note_remove index ~pos);
-    incr maintenance_total;
-    match !state_ref with
-    | Some hs -> hs.Sandbox.maintenance_events <- hs.Sandbox.maintenance_events + 1
-    | None -> ()
+  let plan =
+    Psm.Plan.build ~source:merge_vcpus ~index:(Runqueue.index ull_queue)
   in
-  let subscription = Runqueue.subscribe ull_queue on_change in
-  let hs =
-    {
-      Sandbox.merge_vcpus;
-      ull_queue;
-      index;
-      plan;
-      subscription;
-      precomputed =
-        (if with_coalesce then Some (make_precomputed (Sandbox.vcpu_count sandbox))
-         else None);
-      maintenance_events = 0;
-    }
-  in
-  state_ref := Some hs;
-  hs
+  let events = Metrics.counter_ref t.metrics "psm.maintenance_events" in
+  let subscription = Runqueue.subscribe ull_queue ~events plan in
+  {
+    Sandbox.merge_vcpus;
+    ull_queue;
+    plan;
+    subscription;
+    precomputed =
+      (if with_coalesce then Some (make_precomputed (Sandbox.vcpu_count sandbox))
+       else None);
+  }
 
 let pause t ~strategy sandbox =
   require_state sandbox [ Sandbox.Running ] "pause: sandbox not running";
@@ -368,12 +345,11 @@ let resume t sandbox =
       match Sandbox.horse_state sandbox with
       | None -> raise (Invalid_state "resume: HORSE pause state missing")
       | Some hs ->
-        Runqueue.unsubscribe hs.Sandbox.ull_queue hs.Sandbox.subscription;
+        Runqueue.catch_up hs.Sandbox.ull_queue hs.Sandbox.subscription;
         let stats, nodes =
           Runqueue.apply_merge hs.Sandbox.ull_queue ~plan:hs.Sandbox.plan
-            ~index:hs.Sandbox.index ~source:hs.Sandbox.merge_vcpus
+            ~source:hs.Sandbox.merge_vcpus
         in
-        Scheduler.detach_paused t.scheduler hs.Sandbox.ull_queue;
         let queue = Runqueue.queue hs.Sandbox.ull_queue in
         let placements =
           Array.fold_right

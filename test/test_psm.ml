@@ -434,6 +434,38 @@ let test_plan_source_remove () =
   ignore (Psm.Plan.execute plan ~index:idx ~source:a);
   check_list "merged" [ 2; 5; 8 ] (Al.to_list b)
 
+(* note_target_insert runs once per paused plan per logged queue
+   mutation, so it must not allocate: every branch of the segment
+   split (nothing moves, the whole segment moves, a suffix splits off)
+   over a plan whose segment arrays never need to grow. *)
+let test_plan_target_insert_allocates_nothing () =
+  let a, b = pair_in_arena [ 2; 4; 6 ] [ 5 ] in
+  let idx = Psm.Index.build b in
+  let plan = Psm.Plan.build ~source:a ~index:idx in
+  let round () =
+    (* below every source element: the key-0 segment {2;4} moves whole *)
+    Psm.Plan.note_target_insert plan ~pos:0 1;
+    (* inside the key-1 segment: {4} splits off *)
+    Psm.Plan.note_target_insert plan ~pos:1 3;
+    (* above the whole key-3 segment {6}: nothing moves *)
+    Psm.Plan.note_target_insert plan ~pos:3 9;
+    Psm.Plan.note_target_remove plan ~pos:3;
+    Psm.Plan.note_target_remove plan ~pos:1;
+    Psm.Plan.note_target_remove plan ~pos:0
+  in
+  round () (* reach the steady-state segment capacity *);
+  let keys = Psm.Plan.keys_counts plan in
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    round ()
+  done;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 (w2 -. w1 -. (w1 -. w0));
+  Alcotest.(check bool) "round trip restores the plan" true
+    (Psm.Plan.keys_counts plan = keys
+    && Psm.Plan.is_consistent plan ~index:idx ~source:a)
+
 (* ------------------------------------------------------------------ *)
 (* Trace equality: arena list vs the boxed oracle                      *)
 (* ------------------------------------------------------------------ *)
@@ -882,6 +914,8 @@ let () =
             test_plan_target_remove_coalesce;
           Alcotest.test_case "source insert" `Quick test_plan_source_insert;
           Alcotest.test_case "source remove" `Quick test_plan_source_remove;
+          Alcotest.test_case "target insert allocates nothing" `Quick
+            test_plan_target_insert_allocates_nothing;
         ] );
       ("properties", props);
     ]

@@ -81,145 +81,252 @@ let test_runqueue_set_kind_guard () =
     (Invalid_argument "Runqueue.set_kind: queue not empty") (fun () ->
       Runqueue.set_kind q Runqueue.Ull)
 
+(* A paused sandbox's side of P²SM, as Vmm.pause builds it: its vCPUs
+   sorted into a source list in the queue's arena, and the plan
+   against the queue's arrayB as it is now. *)
+let paused_plan ?(sandbox = 50) q credits =
+  let source = Al.create (Runqueue.arena q) in
+  List.iteri
+    (fun index credit ->
+      ignore (Al.insert_sorted source (mk_vcpu ~sandbox ~index ~credit ())))
+    credits;
+  (source, Psm.Plan.build ~source ~index:(Runqueue.index q))
+
+let same_shape a b = Psm.Plan.keys_counts a = Psm.Plan.keys_counts b
+
+let fresh_against q ~source plan =
+  Psm.Index.is_consistent (Runqueue.index q)
+  && Psm.Plan.is_consistent plan ~index:(Runqueue.index q) ~source
+
 let test_runqueue_notifications () =
-  let q = mk_queue () in
-  let events = ref [] in
-  let sub =
-    Runqueue.subscribe q (fun event ~pos ~node:_ ->
-        events :=
-          (match event with
-          | Runqueue.Inserted -> `Ins pos
-          | Runqueue.Removed -> `Rem pos)
-          :: !events)
-  in
+  let q = mk_queue ~kind:Runqueue.Ull () in
+  let events = ref 0 in
+  let source, plan = paused_plan q [ 3; 7; 12 ] in
+  let sub = Runqueue.subscribe q ~events plan in
   let v1 = mk_vcpu ~index:0 ~credit:10 () in
   let v2 = mk_vcpu ~index:1 ~credit:5 () in
-  let n1, _ = Runqueue.enqueue q v1 in
-  ignore (Runqueue.enqueue q v2);
-  ignore (Runqueue.dequeue q n1);
-  Alcotest.(check bool) "events" true
-    (List.rev !events = [ `Ins 0; `Ins 0; `Rem 1 ]);
-  Runqueue.unsubscribe q sub;
+  let n1, p1 = Runqueue.enqueue q v1 in
+  let _, p2 = Runqueue.enqueue q v2 in
+  let p3 = Runqueue.dequeue q n1 in
+  Alcotest.(check (list int)) "logged positions: insert 0, insert 0, remove 1"
+    [ 0; 0; 1 ] [ p1; p2; p3 ];
+  Alcotest.(check int) "one delivery per mutation" 3 !events;
+  Runqueue.catch_up q sub;
+  (* the eager fan-out's sequence: {3;7;12}@0 -> {3;7}@0 {12}@1 ->
+     {3}@0 {7}@1 {12}@2 -> {3}@0 {7;12}@1 *)
+  Alcotest.(check bool) "caught-up plan" true
+    (Psm.Plan.keys_counts plan = ([| 0; 1 |], [| 1; 2 |]));
+  Alcotest.(check bool) "fresh against the queue" true
+    (fresh_against q ~source plan);
   ignore (Runqueue.enqueue q (mk_vcpu ~index:2 ()));
-  Alcotest.(check int) "no event after unsubscribe" 3 (List.length !events);
+  Alcotest.(check int) "nothing counted after catch_up" 3 !events;
+  Alcotest.(check int) "nothing logged" 0 (Runqueue.log_length q);
   Alcotest.(check int) "subscriber count" 0 (Runqueue.subscriber_count q)
 
 let test_runqueue_pop_front_notifies () =
-  let q = mk_queue () in
-  let removed = ref 0 in
-  ignore
-    (Runqueue.subscribe q (fun event ~pos:_ ~node:_ ->
-         match event with
-         | Runqueue.Removed -> incr removed
-         | Runqueue.Inserted -> ()));
+  let q = mk_queue ~kind:Runqueue.Ull () in
+  let events = ref 0 in
+  let source, plan = paused_plan q [ 2 ] in
+  let sub = Runqueue.subscribe q ~events plan in
   ignore (Runqueue.enqueue q (mk_vcpu ~credit:1 ()));
-  ignore (Runqueue.enqueue q (mk_vcpu ~index:1 ~credit:2 ()));
+  ignore (Runqueue.enqueue q (mk_vcpu ~index:1 ~credit:3 ()));
   let v = Option.get (Runqueue.pop_front q) in
   Alcotest.(check int) "least credit popped" 1 (Vcpu.credit v);
-  Alcotest.(check int) "one removal" 1 !removed
+  Alcotest.(check int) "the removal is counted" 3 !events;
+  Runqueue.catch_up q sub;
+  Alcotest.(check bool) "removal at 0 replayed" true
+    (Psm.Plan.keys_counts plan = ([| 0 |], [| 1 |])
+    && fresh_against q ~source plan)
 
 let test_runqueue_apply_merge () =
-  (* a full P²SM round-trip against a queue with a subscriber *)
+  (* a full P²SM round-trip against a queue with a bystander *)
   let q = mk_queue ~kind:Runqueue.Ull () in
   List.iter
     (fun (i, c) -> ignore (Runqueue.enqueue q (mk_vcpu ~sandbox:9 ~index:i ~credit:c ())))
     [ (0, 10); (1, 30) ];
-  let inserted_positions = ref [] in
-  ignore
-    (Runqueue.subscribe q (fun event ~pos ~node:_ ->
-         match event with
-         | Runqueue.Inserted -> inserted_positions := pos :: !inserted_positions
-         | Runqueue.Removed -> ()));
-  let source = Al.create (Runqueue.arena q) in
-  List.iter
-    (fun (i, c) -> ignore (Al.insert_sorted source (mk_vcpu ~sandbox:1 ~index:i ~credit:c ())))
-    [ (0, 5); (1, 20); (2, 40) ];
-  let index = Psm.Index.build (Runqueue.queue q) in
-  let plan = Psm.Plan.build ~source ~index in
-  let stats, nodes = Runqueue.apply_merge q ~plan ~index ~source in
+  let events = ref 0 in
+  let by_source, bystander = paused_plan ~sandbox:2 q [ 15; 35 ] in
+  let _, twin = paused_plan ~sandbox:3 q [ 15; 35 ] in
+  let sub = Runqueue.subscribe q ~events bystander in
+  let source, plan = paused_plan ~sandbox:1 q [ 5; 20; 40 ] in
+  let stats, nodes = Runqueue.apply_merge q ~plan ~source in
   Alcotest.(check int) "3 spliced" 3 stats.Psm.Plan.spliced;
   Alcotest.(check int) "3 nodes returned" 3 (Array.length nodes);
   Alcotest.(check (list int)) "final order" [ 5; 10; 20; 30; 40 ]
     (List.map Vcpu.credit (Al.to_list (Runqueue.queue q)));
-  Alcotest.(check (list int)) "positions as sequential inserts" [ 0; 2; 4 ]
-    (List.rev !inserted_positions);
+  Alcotest.(check bool) "arrayB follows the merge" true
+    (Psm.Index.is_consistent (Runqueue.index q));
+  Alcotest.(check int) "one delivery per spliced vCPU" 3 !events;
+  (* the merge is logged as sequential inserts at 0, 2 and 4 *)
+  List.iter
+    (fun (pos, credit) ->
+      Psm.Plan.note_target_insert twin ~pos (mk_vcpu ~credit ()))
+    [ (0, 5); (2, 20); (4, 40) ];
+  Runqueue.catch_up q sub;
+  Alcotest.(check bool) "positions as sequential inserts" true
+    (same_shape bystander twin
+    && fresh_against q ~source:by_source bystander);
   Alcotest.(check bool) "spliced vcpus queued" true
     (Array.for_all
        (fun n -> Vcpu.state (Al.value (Runqueue.queue q) n) = Vcpu.Queued)
        nodes)
 
-(* Satellite: subscriber notification order is deterministic.  Two
-   subscribers registered at different times must observe identical
-   change sequences, with the earlier subscription always fired first
-   (ascending subscription id — the Hashtbl this replaced made no such
-   promise), and a rerun of the same seed must reproduce the exact
-   sequence. *)
+(* The deferred path against an eager oracle.  A script of queue
+   mutations runs with paused subscribers joining, resuming (catch_up
+   then apply_merge) and leaving mid-stream.  Each subscriber has a
+   twin plan over an identical source that the script updates eagerly
+   from the positions the queue reports, exactly as the per-mutation
+   fan-out did.  At every catch_up the deferred plan must equal its
+   twin and a from-scratch rebuild, and the events counter must equal
+   the subscriber count summed over mutations.  Returns the checks
+   that failed and the caught-up plan shapes, in catch_up order. *)
+type op =
+  | Enq of int  (** enqueue a vCPU with this credit *)
+  | Deq of int  (** dequeue the node at this index (mod length) *)
+  | Pop
+  | Join of int list  (** a sandbox with these credits pauses *)
+  | Resume of int  (** this subscriber (mod count) resumes *)
+  | Leave of int  (** this subscriber (mod count) is torn down *)
+
+type paused = {
+  sub : Runqueue.subscription;
+  source : Vcpu.t Al.t;
+  plan : Vcpu.t Psm.Plan.t;
+  twin : Vcpu.t Psm.Plan.t;
+}
+
+let run_deferred_script ops =
+  let q = mk_queue ~kind:Runqueue.Ull () in
+  let events = ref 0 and expected = ref 0 and next_id = ref 100 in
+  let live = ref [] and shapes = ref [] and failures = ref [] in
+  let check what b = if not b then failures := what :: !failures in
+  let mutated () = expected := !expected + List.length !live in
+  let eager_insert pos v =
+    List.iter (fun p -> Psm.Plan.note_target_insert p.twin ~pos v) !live
+  in
+  let eager_remove pos =
+    List.iter (fun p -> Psm.Plan.note_target_remove p.twin ~pos) !live
+  in
+  let nth_live i = List.nth !live (i mod List.length !live) in
+  let drop p = live := List.filter (fun x -> x != p) !live in
+  List.iter
+    (fun op ->
+      (match op with
+      | Enq credit ->
+        incr next_id;
+        let v = mk_vcpu ~sandbox:!next_id ~credit () in
+        mutated ();
+        let _, pos = Runqueue.enqueue q v in
+        eager_insert pos v
+      | Deq i when Runqueue.length q > 0 ->
+        let node = Al.nth (Runqueue.queue q) (i mod Runqueue.length q) in
+        mutated ();
+        eager_remove (Runqueue.dequeue q node)
+      | Deq _ -> ()
+      | Pop ->
+        if Runqueue.length q > 0 then mutated ();
+        if Runqueue.pop_front q <> None then eager_remove 0
+      | Join credits ->
+        incr next_id;
+        let source, plan = paused_plan ~sandbox:!next_id q credits in
+        let _, twin = paused_plan ~sandbox:(- !next_id) q credits in
+        let sub = Runqueue.subscribe q ~events plan in
+        live := !live @ [ { sub; source; plan; twin } ]
+      | Resume _ when !live = [] -> ()
+      | Resume i ->
+        let p = nth_live i in
+        drop p;
+        Runqueue.catch_up q p.sub;
+        check "twin" (same_shape p.plan p.twin);
+        check "fresh" (fresh_against q ~source:p.source p.plan);
+        check "counter" (!events = !expected);
+        shapes := Psm.Plan.keys_counts p.plan :: !shapes;
+        let nodes = Al.handles p.source in
+        expected := !expected + (Array.length nodes * List.length !live);
+        ignore (Runqueue.apply_merge q ~plan:p.plan ~source:p.source);
+        (* inserting in source order at the final positions replays
+           the merge as sequential inserts *)
+        Array.iter
+          (fun node ->
+            eager_insert (Al.position (Runqueue.queue q) node)
+              (Al.value (Runqueue.queue q) node))
+          nodes
+      | Leave _ when !live = [] -> ()
+      | Leave i ->
+        let p = nth_live i in
+        drop p;
+        Runqueue.unsubscribe q p.sub);
+      check "bounded log"
+        (Runqueue.log_length q <= 2 * Runqueue.subscriber_count q);
+      check "arrayB fresh" (Psm.Index.is_consistent (Runqueue.index q));
+      check "sorted" (Al.is_sorted (Runqueue.queue q)))
+    ops;
+  (* everyone still paused resumes at the end *)
+  List.iter
+    (fun p ->
+      Runqueue.catch_up q p.sub;
+      check "final twin" (same_shape p.plan p.twin);
+      check "final fresh" (fresh_against q ~source:p.source p.plan);
+      shapes := Psm.Plan.keys_counts p.plan :: !shapes)
+    !live;
+  check "final counter" (!events = !expected);
+  (List.rev !failures, List.rev !shapes)
+
+(* Satellite: the replay is deterministic.  Subscriber a pauses before
+   any churn, b after 50 mutations; both must catch up to their eager
+   twins (b's started where b joined), and a rerun of the same seed
+   must reproduce the exact plans. *)
 let churn_with_two_subscribers seed =
   let st = Random.State.make [| seed |] in
-  let q = mk_queue ~kind:Runqueue.Ull () in
-  let log_a = ref [] and log_b = ref [] and firing = ref [] in
-  let record tag log event ~pos ~node:_ =
-    firing := tag :: !firing;
-    log :=
-      (match event with
-      | Runqueue.Inserted -> (true, pos)
-      | Runqueue.Removed -> (false, pos))
-      :: !log
-  in
-  ignore (Runqueue.subscribe q (record 'a' log_a));
-  let nodes = ref [] in
-  (* subscriber b arrives only after some churn has already happened:
-     its log must still replay b-for-b against a's tail *)
-  let b_joined = ref 0 in
+  let ops = ref [ Join [ 200; 500; 800 ] ] in
   for i = 0 to 199 do
-    if i = 50 then begin
-      ignore (Runqueue.subscribe q (record 'b' log_b));
-      b_joined := List.length !log_a
-    end;
-    match Random.State.int st 3 with
-    | 0 | 1 ->
-      let n, _ =
-        Runqueue.enqueue q
-          (mk_vcpu ~sandbox:i ~credit:(Random.State.int st 100) ())
-      in
-      nodes := n :: !nodes
-    | _ -> (
-      match !nodes with
-      | [] -> ()
-      | n :: rest ->
-        nodes := rest;
-        ignore (Runqueue.dequeue q n))
+    if i = 50 then ops := Join [ 100; 600 ] :: !ops;
+    ops :=
+      (match Random.State.int st 3 with
+      | 0 | 1 -> Enq (Random.State.int st 1000)
+      | _ -> Deq (Random.State.int st 1000))
+      :: !ops
   done;
-  let tail_of_a =
-    List.filteri (fun i _ -> i < List.length !log_a - !b_joined) !log_a
-  in
-  (List.rev !log_a, List.rev !log_b, List.rev tail_of_a, List.rev !firing)
+  run_deferred_script (List.rev (Resume 0 :: !ops))
 
 let test_subscriber_determinism seed () =
-  let log_a, log_b, a_since_b, firing = churn_with_two_subscribers seed in
-  Alcotest.(check bool) "b saw exactly a's events since joining" true
-    (log_b = a_since_b);
-  Alcotest.(check bool) "a fires before b on every event" true
-    (let rec alternates = function
-       | [] -> true
-       | 'a' :: 'b' :: rest -> alternates rest
-       | 'a' :: rest -> alternates rest (* before b subscribed *)
-       | _ -> false
-     in
-     alternates firing);
-  (* bit-for-bit reproducible *)
-  let log_a', log_b', _, firing' = churn_with_two_subscribers seed in
-  Alcotest.(check bool) "identical across reruns" true
-    (log_a = log_a' && log_b = log_b' && firing = firing')
+  let failures, shapes = churn_with_two_subscribers seed in
+  Alcotest.(check (list string)) "a and b caught up to their eager twins" []
+    failures;
+  Alcotest.(check int) "both resumed" 2 (List.length shapes);
+  let _, shapes' = churn_with_two_subscribers seed in
+  Alcotest.(check bool) "identical across reruns" true (shapes = shapes')
+
+(* A logged insert keeps the key the vCPU had then: here credit2
+   burns the queued vCPU's credit before the bystander resumes, and
+   the replay must still split the bystander's plan where the eager
+   fan-out did, at credit 20 — not at the burned 10. *)
+let test_replay_keeps_logged_key () =
+  let q = mk_queue ~kind:Runqueue.Ull () in
+  let events = ref 0 in
+  let _, plan = paused_plan q [ 15; 25 ] in
+  let _, twin = paused_plan ~sandbox:51 q [ 15; 25 ] in
+  let sub = Runqueue.subscribe q ~events plan in
+  let v = mk_vcpu ~credit:20 () in
+  let _, pos = Runqueue.enqueue q v in
+  Psm.Plan.note_target_insert twin ~pos v;
+  Credit2.charge v ~ran_for:(Time.span_us 10.0);
+  Alcotest.(check int) "credit burned" 10 (Vcpu.credit v);
+  Runqueue.catch_up q sub;
+  Alcotest.(check bool) "split at the logged key" true
+    (Psm.Plan.keys_counts plan = ([| 0; 1 |], [| 1; 1 |])
+    && same_shape plan twin)
 
 let test_runqueue_merge_wrong_index_rejected () =
-  let q = mk_queue () and other = Runqueue.create ~cpu:1 ~id:1 () in
-  let source = Al.create (Runqueue.arena other) in
-  let index = Psm.Index.build (Runqueue.queue other) in
-  let plan = Psm.Plan.build ~source ~index in
+  let q = mk_queue ~kind:Runqueue.Ull ()
+  and other = Runqueue.create ~kind:Runqueue.Ull ~cpu:1 ~id:1 () in
+  let source, plan = paused_plan other [] in
   Alcotest.check_raises "wrong queue"
-    (Invalid_argument "Runqueue.apply_merge: index built over a different queue")
-    (fun () -> ignore (Runqueue.apply_merge q ~plan ~index ~source))
+    (Invalid_argument "Runqueue.apply_merge: source list in a different arena")
+    (fun () -> ignore (Runqueue.apply_merge q ~plan ~source));
+  Alcotest.check_raises "normal queues keep no arrayB"
+    (Invalid_argument "Runqueue.index: not an ull_runqueue") (fun () ->
+      ignore (Runqueue.index (mk_queue ())))
 
 (* ------------------------------------------------------------------ *)
 (* Load tracking                                                       *)
@@ -326,23 +433,33 @@ let test_scheduler_select_normal_spreads () =
     (Runqueue.id q1 <> Runqueue.id q2);
   Alcotest.(check bool) "never ull" false (Runqueue.is_ull q2)
 
+(* Attachment is the queue's subscriber count: pausing against a queue
+   subscribes, resuming catches up and leaves. *)
+let attach q =
+  let _, plan = paused_plan q [ 1 ] in
+  Runqueue.subscribe q ~events:(ref 0) plan
+
 let test_scheduler_ull_balance () =
   let s = Scheduler.create ~ull_count:2 ~topology:small_topology () in
   let q1 = Scheduler.select_ull_for_pause s in
-  Scheduler.attach_paused s q1;
+  let s1 = attach q1 in
   let q2 = Scheduler.select_ull_for_pause s in
   Alcotest.(check bool) "balances" true (Runqueue.id q1 <> Runqueue.id q2);
-  Scheduler.attach_paused s q2;
-  Scheduler.detach_paused s q1;
+  ignore (attach q2);
+  Runqueue.catch_up q1 s1;
   let q3 = Scheduler.select_ull_for_pause s in
   Alcotest.(check int) "prefers emptier" (Runqueue.id q1) (Runqueue.id q3)
 
 let test_scheduler_detach_guard () =
   let s = Scheduler.create ~topology:small_topology () in
   let q = Scheduler.select_ull_for_pause s in
+  let sub = attach q in
+  Runqueue.catch_up q sub;
   Alcotest.check_raises "none attached"
-    (Invalid_argument "Scheduler.detach_paused: none attached") (fun () ->
-      Scheduler.detach_paused s q)
+    (Invalid_argument "Runqueue.catch_up: not subscribed") (fun () ->
+      Runqueue.catch_up q sub);
+  Runqueue.unsubscribe q sub (* idempotent *);
+  Alcotest.(check int) "detached" 0 (Runqueue.subscriber_count q)
 
 let test_scheduler_add_ull () =
   let s = Scheduler.create ~topology:small_topology () in
@@ -463,16 +580,19 @@ let test_executor_validation () =
       Executor.submit ex ~queue ~vcpu ~work:(Time.span_us 1.0) ~on_done:ignore)
 
 let test_executor_feeds_psm_subscribers () =
-  (* work churning an ull queue must keep notifying paused plans *)
+  (* work churning an ull queue must keep paused plans maintained *)
   let engine, scheduler, ex = executor_fixture () in
   let queue = Scheduler.runqueue scheduler ~cpu:3 in
   let events = ref 0 in
-  ignore (Runqueue.subscribe queue (fun _ ~pos:_ ~node:_ -> incr events));
+  let source, plan = paused_plan queue [ 5_000; 20_000 ] in
+  let sub = Runqueue.subscribe queue ~events plan in
   Executor.submit ex ~queue ~vcpu:(mk_vcpu ()) ~work:(Time.span_us 3.0)
     ~on_done:(fun _ -> ());
   Engine.run engine;
   (* 3 slices: 1 initial enqueue + 2 re-enqueues + 3 pops = 6 events *)
-  Alcotest.(check int) "notifications flowed" 6 !events
+  Alcotest.(check int) "notifications flowed" 6 !events;
+  Runqueue.catch_up queue sub;
+  Alcotest.(check bool) "plan caught up" true (fresh_against queue ~source plan)
 
 (* ------------------------------------------------------------------ *)
 (* PELT                                                                *)
@@ -600,51 +720,66 @@ let prop_merge_positions_track_subscriber =
     ~name:"subscriber replaying merge notifications reconstructs the queue"
     ~count:200
     QCheck2.Gen.(
-      pair
+      triple
         (list_size (0 -- 20) (0 -- 100))
-        (list_size (0 -- 20) (0 -- 100)))
-    (fun (queue_credits, source_credits) ->
+        (list_size (0 -- 20) (0 -- 100))
+        (list_size (1 -- 5) (0 -- 100)))
+    (fun (queue_credits, source_credits, bystander_credits) ->
       let q = mk_queue ~kind:Runqueue.Ull () in
       List.iteri
         (fun index credit ->
           ignore (Runqueue.enqueue q (mk_vcpu ~sandbox:2 ~index ~credit ())))
         queue_credits;
-      (* shadow copy maintained only from notifications *)
-      let shadow = ref (List.map Vcpu.credit (Al.to_list (Runqueue.queue q))) in
-      let insert_at pos x =
-        let rec go i = function
-          | rest when i = pos -> x :: rest
-          | [] -> [ x ]
-          | y :: rest -> y :: go (i + 1) rest
-        in
-        go 0
+      (* a bystander paused before the merge replays it at resume, then
+         merges itself: the queue must end up the sorted union *)
+      let by_source, bystander = paused_plan ~sandbox:4 q bystander_credits in
+      let sub = Runqueue.subscribe q ~events:(ref 0) bystander in
+      let source, plan = paused_plan ~sandbox:3 q source_credits in
+      ignore (Runqueue.apply_merge q ~plan ~source);
+      Runqueue.catch_up q sub;
+      fresh_against q ~source:by_source bystander
+      &&
+      (ignore (Runqueue.apply_merge q ~plan:bystander ~source:by_source);
+       List.map Vcpu.credit (Al.to_list (Runqueue.queue q))
+       = List.sort compare (queue_credits @ source_credits @ bystander_credits)))
+
+(* The tentpole property: random interleavings of every queue mutation
+   with paused subscribers joining, resuming and leaving, long enough
+   to cross the flush bound many times. *)
+let op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (5, map (fun c -> Enq c) (0 -- 60));
+        (3, map (fun i -> Deq i) (0 -- 1000));
+        (2, pure Pop);
+        (2, map (fun cs -> Join cs) (list_size (1 -- 4) (0 -- 60)));
+        (1, map (fun i -> Resume i) (0 -- 100));
+        (1, map (fun i -> Leave i) (0 -- 100));
+      ])
+
+let prop_deferred_equals_eager =
+  QCheck2.Test.make
+    ~name:"deferred plan maintenance == eager, under joins, resumes and leaves"
+    ~count:300
+    QCheck2.Gen.(
+      pair (list_size (0 -- 6) (list_size (1 -- 4) (0 -- 60)))
+        (list_size (0 -- 150) op_gen))
+    (fun (initial, ops) ->
+      let failures, _ =
+        run_deferred_script (List.map (fun cs -> Join cs) initial @ ops)
       in
-      ignore
-        (Runqueue.subscribe q (fun event ~pos ~node ->
-             match event with
-             | Runqueue.Inserted ->
-               shadow :=
-                 insert_at pos
-                   (Vcpu.credit (Al.value (Runqueue.queue q) node))
-                   !shadow
-             | Runqueue.Removed ->
-               shadow := List.filteri (fun i _ -> i <> pos) !shadow));
-      let source = Al.create (Runqueue.arena q) in
-      List.iteri
-        (fun index credit ->
-          ignore
-            (Al.insert_sorted source (mk_vcpu ~sandbox:3 ~index ~credit ())))
-        source_credits;
-      let index = Psm.Index.build (Runqueue.queue q) in
-      let plan = Psm.Plan.build ~source ~index in
-      ignore (Runqueue.apply_merge q ~plan ~index ~source);
-      !shadow = List.map Vcpu.credit (Al.to_list (Runqueue.queue q)))
+      if failures <> [] then
+        QCheck2.Test.fail_reportf "failed checks: %s"
+          (String.concat ", " failures);
+      true)
 
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_runqueue_always_sorted;
       prop_merge_positions_track_subscriber;
+      prop_deferred_equals_eager;
       prop_pelt_decay_split;
     ]
 
@@ -676,6 +811,8 @@ let () =
             (test_subscriber_determinism 42);
           Alcotest.test_case "deterministic notify, seed 1337" `Quick
             (test_subscriber_determinism 1337);
+          Alcotest.test_case "replay keeps the logged key" `Quick
+            test_replay_keeps_logged_key;
         ] );
       ( "load",
         [

@@ -323,7 +323,6 @@ let test_stop_releases_everything () =
   Alcotest.(check int) "subscribed" 1 (Runqueue.subscriber_count ull);
   Vmm.stop vmm sb;
   Alcotest.(check int) "unsubscribed" 0 (Runqueue.subscriber_count ull);
-  Alcotest.(check int) "detached" 0 (Scheduler.attached_paused scheduler ull);
   Alcotest.(check bool) "stopped" true (Sandbox.state sb = Sandbox.Stopped)
 
 let test_dispatch_overhead () =
