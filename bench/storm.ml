@@ -3,25 +3,26 @@
    Usage:  storm.exe [--quick] [--json FILE]
 
    A fleet of uLL sandboxes is booted and paused with the Horse
-   strategy, so every paused sandbox subscribes its P²SM plan to the
-   single reserved ull_runqueue.  Two things are measured, both real
-   time (not the simulator's virtual clock):
+   strategy, so every paused sandbox subscribes to the single reserved
+   ull_runqueue.  Two things are measured, both real time (not the
+   simulator's virtual clock):
 
    - churn: enqueue/dequeue of probe vCPUs on the ull_runqueue while
-     0, 100 and N sandboxes are subscribed.  A mutation appends one
-     log entry and keeps the queue's arrayB fresh; the log is replayed
-     into the paused plans in flushes, so the per-mutation cost grows
-     only by each subscriber's share of that replay (a few ns:
-     note_target_insert / note_target_remove on flat arrays, nothing
-     allocated), never by a walk.
+     0, 100 and N sandboxes are subscribed.  A mutation keeps the
+     queue's arrayB fresh and adds the subscriber count to the
+     maintenance counter; no paused plan is touched (each is derived
+     from arrayB when its sandbox resumes), so the per-mutation cost
+     should not grow with the subscribers at all.
 
    - the storm itself: all N sandboxes resume back-to-back onto the
      same queue.  Each resume is timed individually; comparing the
      first decile (almost N subscribers still attached) with the last
      (almost none) shows how much of a resume depends on the number
-     of bystanders.  The virtual-time merge cost from the cost-model
-     breakdown is reported alongside: it is driven by the plan's
-     precomputed walk counts, so it must be flat by construction.
+     of bystanders (deriving posA is one binary search per vCPU over
+     arrayB and does not depend on them).  The virtual-time merge
+     cost from the cost-model breakdown is reported alongside: it is
+     driven by the plan's precomputed walk counts, so it must be flat
+     by construction.
 
    - cluster storm: the same trigger storm at cluster scale on the
      sharded engine — one warm-trigger burst over a multi-server
@@ -168,8 +169,9 @@ let () =
       (Printf.sprintf
          "resume_storm: %d paused uLL sandboxes (2 vCPUs each) on one \
           ull_runqueue.  Churn rows: wall ns per queue mutation as the \
-          subscriber population grows — the growth is the subscribers' \
-          share of the deferred log replay, not a walk.  Storm rows: wall ns per resume in the \
+          subscriber population grows — it should not: a mutation only \
+          counts the subscribers' maintenance, posA is derived from \
+          arrayB at resume.  Storm rows: wall ns per resume in the \
           first vs last decile (%d vs ~0 bystander subscribers), plus \
           the flat virtual-time cost the calibrated model assigns."
          n n)
@@ -184,7 +186,7 @@ let () =
         Printf.sprintf "churn ns/mutation, %d subscribers" n;
         Report.ns churn_full;
       ];
-      [ "replay marginal ns/subscriber"; Report.ns (Float.max 0.0 per_sub) ];
+      [ "churn marginal ns/subscriber"; Report.ns (Float.max 0.0 per_sub) ];
       [
         Printf.sprintf "resume wall ns, first %d (most subscribers)" decile;
         Report.ns (mean wall 0 decile);

@@ -798,6 +798,7 @@ let sync_pool_view t ~name =
       t.platforms
 
 let provision t ~name ~total ~strategy =
+  let words0 = Gc.minor_words () in
   for i = 0 to total - 1 do
     let srv = i mod server_count t in
     Platform.provision t.platforms.(srv) ~name ~count:1 ~strategy;
@@ -805,7 +806,19 @@ let provision t ~name ~total ~strategy =
   done;
   (* pre-run setup on the coordinating domain: refresh the router's
      mirror from the actual pools before any window runs *)
-  sync_pool_view t ~name
+  sync_pool_view t ~name;
+  (* A fleet is long-lived by construction.  When building it filled
+     most of the minor heap, tenure it now: left young, it would be
+     promoted by the run's first minor collection, which then also
+     paces the major collector's marking of it into the run (on a
+     32k-sandbox fleet that costs more than twice what one collection
+     here does).  A smaller fleet is cheap to promote whenever that
+     happens, and collecting here would only tenure other set-up
+     state early. *)
+  if
+    Gc.minor_words () -. words0
+    > float_of_int ((Gc.get ()).Gc.minor_heap_size / 2)
+  then Gc.minor ()
 
 let pool_size t ~name =
   Array.fold_left (fun acc p -> acc + Platform.pool_size p ~name) 0 t.platforms

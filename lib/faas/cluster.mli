@@ -287,7 +287,10 @@ val function_name : t -> fn_id:int -> string
 val provision :
   t -> name:string -> total:int -> strategy:Horse_vmm.Sandbox.strategy -> unit
 (** Park [total] warm sandboxes for [name], spread round-robin across
-    the servers (the policy's [on_provision] hook observes each). *)
+    the servers (the policy's [on_provision] hook observes each).
+    When the fleet filled more than half the minor heap, ends with
+    one minor collection, so it is promoted during provisioning rather
+    than by the run's first. *)
 
 val pool_size : t -> name:string -> int
 (** Fleet-wide warm-pool size. *)

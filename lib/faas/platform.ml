@@ -599,10 +599,11 @@ and launch t ~fn ~fn_id ~orig_mode ~mode ~sink ~attempt ~triggered_at
       Some
         (Engine.schedule_at t.engine ~at:finish_at (fun _ -> inv.resolve ()))
   end;
-  Log.debug (fun m ->
-      m "trigger %s mode=%s init=%dns exec=%dns" fn.Function_def.name
-        (mode_name mode)
-        (Time.span_to_ns inv_init) (Time.span_to_ns exec));
+  if Horse_sim.Logging.debug_on log_src then
+    Log.debug (fun m ->
+        m "trigger %s mode=%s init=%dns exec=%dns" fn.Function_def.name
+          (mode_name mode)
+          (Time.span_to_ns inv_init) (Time.span_to_ns exec));
   (* hoisted per-mode handles: no sprintf, no series-name hashing on
      the per-trigger path.  The init distribution is NOT observed here
      — only [complete] feeds it, so doomed attempts never publish a

@@ -45,19 +45,18 @@ module Index = struct
     t.nodes <- Al.handles t.target;
     t.size <- Al.length t.target
 
-  (* #{b in B : b <= a}: first position whose node value exceeds [a]. *)
+  (* #{b in B : b <= a}: first position whose node value exceeds [a].
+     A plain loop over refs, so a resume deriving posA allocates
+     nothing. *)
   let find_key t a =
     let compare = Al.compare_fn t.target in
-    let rec search lo hi =
-      if lo >= hi then lo
-      else begin
-        let mid = (lo + hi) / 2 in
-        if compare (Al.value t.target t.nodes.(mid)) a <= 0 then
-          search (mid + 1) hi
-        else search lo mid
-      end
-    in
-    search 0 t.size
+    let lo = ref 0 and hi = ref t.size in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if compare (Al.value t.target t.nodes.(mid)) a <= 0 then lo := mid + 1
+      else hi := mid
+    done;
+    !lo
 
   let is_consistent t =
     t.size = Al.length t.target
@@ -89,7 +88,7 @@ module Plan = struct
 
   type stats = { threads : int; spliced : int; max_segment : int }
 
-  let create_empty source =
+  let create source =
     {
       source;
       compare = Al.compare_fn source;
@@ -161,7 +160,7 @@ module Plan = struct
     if !lo < t.nseg && t.keys.(!lo) = key then !lo else -1
 
   let build ~source ~(index : 'a Index.t) =
-    let t = create_empty source in
+    let t = create source in
     (* Two-pointer scan: both lists are sorted, so the key is found by
        advancing a single cursor over the index. *)
     let cursor = ref 0 in
@@ -180,12 +179,19 @@ module Plan = struct
       (Al.handles source);
     t
 
+  let refill t ~index =
+    t.nseg <- 0;
+    t.total <- 0;
+    t.valid <- true;
+    let node = ref (Al.first t.source) in
+    while not (Al.is_nil !node) do
+      push t ~key:(Index.find_key index (Al.value t.source !node)) ~node:!node;
+      node := Al.next t.source !node
+    done
+
   let build_binary ~source ~index =
-    let t = create_empty source in
-    Array.iter
-      (fun node ->
-        push t ~key:(Index.find_key index (Al.value source node)) ~node)
-      (Al.handles source);
+    let t = create source in
+    refill t ~index;
     t
 
   let key_count t = t.nseg

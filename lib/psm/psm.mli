@@ -28,11 +28,11 @@
     {!Index.note_insert} / {!Index.note_remove}), and a vCPU added to
     the paused set with {!Plan.note_source_insert}.  The maintenance
     path is in-place over flat [int] arrays and allocates nothing.
-    The run-queue layer applies the target notes lazily: a queue keeps
-    one [Index] and a bounded log of its mutations, and a paused
-    sandbox's plan replays the entries it missed when it resumes
-    (see [Horse_sched.Runqueue]) — the same calls in the same order,
-    so the merge it executes is the one eager maintenance would. *)
+    The run-queue layer does not call the target notes: a queue keeps
+    its one [Index] fresh, and a resuming sandbox derives its plan from
+    it with {!Plan.refill} (see [Horse_sched.Runqueue]).  The target
+    notes stay as the eager oracle that derivation is tested against:
+    while the queued values do not change, both give the same plan. *)
 
 exception Stale
 (** Raised by merge execution when the precomputed structures do not
@@ -100,6 +100,16 @@ module Plan : sig
   (** Same result via per-element binary search (O(|A|·log |B|));
       faster when [A] is tiny next to [B].  Ablation material. *)
 
+  val create : 'a Arena_list.t -> 'a t
+  (** An empty plan over [source], to be filled by {!refill}: one
+      allocation a paused sandbox keeps for its whole life. *)
+
+  val refill : 'a t -> index:'a Index.t -> unit
+  (** Recompute the plan in place from the source and [index] as they
+      are now, by per-element {!Index.find_key} (O(|A|·log |B|)), and
+      make it executable again.  Allocates nothing once the segment
+      arrays have grown to the source's size. *)
+
   val key_count : 'a t -> int
 
   val total : 'a t -> int
@@ -109,10 +119,9 @@ module Plan : sig
   (** Sorted splice keys (for inspection and tests). *)
 
   val keys_counts : 'a t -> int array * int array
-  (** Fresh copies of the (key, element count) pairs, segment order.
-      Taken {e before} {!execute}, they let the run-queue layer tell
-      other subscribers where each element landed (§4.1.3's continuous
-      updates after a merge) in one pass. *)
+  (** Fresh copies of the (key, element count) pairs, segment order
+      (for inspection and tests: two plans with equal pairs splice
+      the same sublists at the same keys). *)
 
   val segments_snapshot : 'a t -> (int * Arena_list.handle list) list
   (** The current (key, nodes) decomposition, keys ascending and nodes

@@ -5,7 +5,8 @@
     lock-protected load.  A run queue can be reserved as an
     [ull_runqueue] (§4.1.3): only uLL sandboxes land there, its
     timeslice is capped at 1 µs, and paused sandboxes {e subscribe}
-    their P²SM plans ([posA]) to its changes.
+    to it until they resume, their P²SM plans ([posA]) being derived
+    from its [arrayB] then.
 
     The queue is an {!Horse_psm.Arena_list}: removals are O(1), and
     every structural mutation still reports the nodes the boxed
@@ -13,20 +14,16 @@
     the one [arrayB] ({!Horse_psm.Psm.Index}) its paused sandboxes
     plan against, and keeps it fresh on every mutation.
 
-    Plan maintenance is deferred.  While anyone is subscribed, each
-    mutation is appended to a flat log (insert at [pos] with the
-    inserted vCPU's credit as of that moment, or remove at [pos]);
-    {!catch_up}, called when a paused sandbox resumes, replays the
-    entries it has not seen through
-    {!Horse_psm.Psm.Plan.note_target_insert} /
-    {!Horse_psm.Psm.Plan.note_target_remove} — the same calls, in the
-    same order, an eager per-mutation fan-out would have made, so the
-    plan it merges with is the same.  Memory is bounded: the log is
-    trimmed to the oldest subscriber's position, and once it holds
-    more than twice the subscriber count it is flushed into every
-    lagging plan and emptied.  No entry is replayed into a plan more
-    than once, so the total replay work never exceeds the eager
-    fan-out's.  Normal queues never log and keep an empty index. *)
+    Plan maintenance is counted, not performed.  While sandboxes are
+    subscribed, each mutation adds the subscriber count to the shared
+    [events] counter — the deliveries an eager per-mutation fan-out
+    would make, which the simulation charges as maintenance cost — and
+    the queue touches no plan.  {!catch_up}, called when a paused
+    sandbox resumes, derives its [posA] from [arrayB] as it is then.
+    That is the plan eager maintenance would hold, because no library
+    path changes a queued vCPU's credit while sandboxes are subscribed
+    (credit2's reset runs only on executor-driven queues, which no
+    VMM pauses against).  Normal queues keep an empty index. *)
 
 type t
 
@@ -75,26 +72,27 @@ val arena : t -> Vcpu.t Horse_psm.Arena_list.arena
 val load : t -> Load_tracking.t
 
 val index : t -> Vcpu.t Horse_psm.Psm.Index.t
-(** The queue's [arrayB], always fresh: paused sandboxes build their
-    plans against it and {!apply_merge} splices through it.
+(** The queue's [arrayB], always fresh: resuming sandboxes derive
+    their plans from it ({!catch_up}) and {!apply_merge} splices
+    through it.
     @raise Invalid_argument on a [Normal] queue, which keeps none. *)
 
 val enqueue : t -> Vcpu.t -> Horse_psm.Arena_list.handle * int
 (** Sorted insert (step ④ for one vCPU).  Returns the handle (the
     caller keeps it to dequeue later) and the nodes walked.  Marks
-    the vCPU [Queued] and logs the insert.  Does {e not} touch the
+    the vCPU [Queued] and counts the insert for the subscribers.  Does {e not} touch the
     load — the resume path chooses vanilla or coalesced load updates
     separately. *)
 
 val dequeue : t -> Horse_psm.Arena_list.handle -> int
 (** Unlink a previously enqueued node; returns the nodes the oracle
     would have walked (= its position).  Marks the vCPU [Offline] and
-    logs the removal.
+    counts the removal for the subscribers.
     @raise Not_found if the node is not on this queue. *)
 
 val pop_front : t -> Vcpu.t option
 (** Scheduler pick: the least-credit vCPU, removed from the queue
-    (logged as a removal at position 0). *)
+    (counted as a removal at position 0). *)
 
 val apply_merge :
   t ->
@@ -102,39 +100,29 @@ val apply_merge :
   source:Vcpu.t Horse_psm.Arena_list.t ->
   Horse_psm.Psm.Plan.stats * Horse_psm.Arena_list.handle array
 (** The P²SM merge of a resuming sandbox's [merge_vcpus] into this
-    ull queue, through its {!index}.  The merge is logged as one
-    insert per spliced vCPU, phrased as sequential inserts (the
-    resuming sandbox must {!catch_up} first).  All spliced vCPUs are
-    marked [Queued].  Also returns the spliced handles (source order)
-    so the resumer can record its placements.
+    ull queue, through its {!index}.  The merge is counted (and
+    [arrayB] updated) as one insert per spliced vCPU, phrased as
+    sequential inserts; the resuming sandbox must {!catch_up} first.
+    All spliced vCPUs are marked [Queued].  Also returns the spliced
+    handles (source order) so the resumer can record its placements.
     @raise Invalid_argument if [source] lives in another arena or the
     queue is not an ull queue.
     @raise Horse_psm.Psm.Stale as {!Horse_psm.Psm.Plan.execute}. *)
 
-val subscribe :
-  t -> events:int ref -> Vcpu.t Horse_psm.Psm.Plan.t -> subscription
-(** Register a paused sandbox's plan, built against {!index} as it is
-    now.  From here on every mutation adds the subscriber count to
-    [events] (the deliveries an eager fan-out would make); all
-    subscribers of a queue share one counter.
+val subscribe : t -> events:int ref -> subscription
+(** Attach a paused sandbox.  From here on every mutation adds the
+    subscriber count to [events] (the deliveries an eager fan-out
+    would make); all subscribers of a queue share one counter.
     @raise Invalid_argument if [events] is not the counter the current
     subscribers use. *)
 
-val catch_up : t -> subscription -> unit
-(** Replay every logged mutation the subscriber has not seen into its
-    plan, then unsubscribe: the plan is now fresh against {!index}.
+val catch_up : t -> subscription -> Vcpu.t Horse_psm.Psm.Plan.t -> unit
+(** Unsubscribe, and refill [plan] (over the sandbox's source list)
+    from {!index} as it is now ({!Horse_psm.Psm.Plan.refill}): the
+    plan is fresh and ready for {!apply_merge}.
     @raise Invalid_argument if the subscription is not live. *)
 
 val unsubscribe : t -> subscription -> unit
-(** Drop a subscription without replaying (its plan is abandoned).
-    Idempotent. *)
-
-val flush : t -> unit
-(** Replay the log into every subscriber's plan now and empty it, as
-    the queue does by itself when the log outgrows its bound. *)
+(** Drop a subscription (teardown of a paused sandbox).  Idempotent. *)
 
 val subscriber_count : t -> int
-
-val log_length : t -> int
-(** Logged mutations the oldest subscriber has not yet seen: never
-    more than twice {!subscriber_count}. *)

@@ -31,3 +31,6 @@ let src name =
     let s = Logs.Src.create full ~doc:("HORSE " ^ name ^ " subsystem") in
     Hashtbl.add known full s;
     s
+
+let debug_on src =
+  match Logs.Src.level src with Some Logs.Debug -> true | _ -> false

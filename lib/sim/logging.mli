@@ -12,3 +12,8 @@ val setup : ?level:Logs.level -> unit -> unit
 
 val src : string -> Logs.src
 (** [src name] creates (or reuses) the source [horse.<name>]. *)
+
+val debug_on : Logs.src -> bool
+(** Whether [src] logs at [Debug].  Guard per-trigger [Log.debug]
+    calls with it: the message closure is allocated before {!Logs}
+    looks at the level. *)

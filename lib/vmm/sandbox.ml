@@ -25,10 +25,10 @@ type placement = {
 
 type horse_state = {
   merge_vcpus : Vcpu.t Horse_psm.Arena_list.t;
-  ull_queue : Horse_sched.Runqueue.t;
   plan : Vcpu.t Psm.Plan.t;
-  subscription : Horse_sched.Runqueue.subscription;
-  precomputed : Horse_coalesce.Coalesce.Precomputed.t option;
+  precomputed : Horse_coalesce.Coalesce.Precomputed.t;
+  mutable ull_queue : Horse_sched.Runqueue.t;
+  mutable subscription : Horse_sched.Runqueue.subscription;
 }
 
 type t = {
@@ -101,17 +101,17 @@ let set_horse_state t h = t.horse_state <- h
    feeds the §5.2 memory report, which must stay comparable across
    revisions.  The paper gives every paused sandbox its own arrayB,
    so one is billed here although the queue shares a single one; the
-   queue's log is flushed first so the plan sized is the one an eager
-   maintenance would hold. *)
+   plan is derived from that arrayB first, so the plan sized is the
+   one an eager maintenance would hold. *)
 let horse_memory_footprint_bytes t =
-  match t.horse_state with
-  | None -> 0
-  | Some h ->
-    Horse_sched.Runqueue.flush h.ull_queue;
+  match (t.state, t.pause_strategy, t.horse_state) with
+  | Paused, Some (Ppsm | Horse), Some h ->
+    Psm.Plan.refill h.plan ~index:(Horse_sched.Runqueue.index h.ull_queue);
     let index_bytes = 8 * Horse_sched.Runqueue.length h.ull_queue in
     let plan_bytes = 48 * Psm.Plan.key_count h.plan in
     let merge_bytes = 24 * Horse_psm.Arena_list.length h.merge_vcpus in
     index_bytes + plan_bytes + merge_bytes + 64
+  | _ -> 0
 
 let pp ppf t =
   let state_name =

@@ -8,13 +8,15 @@
     plus [Stopped] (destroyed) and [Crashed] (killed by an injected
     fault; a crashed sandbox is never reused — the platform's
     fallback ladder starts a fresh one).  While [Paused] under a
-    HORSE-family
-    strategy it carries the precomputed fast-resume state of §4.1.3 /
-    §4.2.2: the pre-sorted [merge_vcpus] list, the P²SM index + plan
-    against its assigned ull_runqueue, the run-queue subscription
-    keeping them fresh, and the coalesced load-update constants.
-    That state is created by {!Vmm.pause} and consumed by
-    {!Vmm.resume}; this module only stores it. *)
+    HORSE-family strategy it uses the fast-resume state of §4.1.3 /
+    §4.2.2: the pre-sorted [merge_vcpus] list, the P²SM plan ([posA])
+    against its assigned ull_runqueue's [arrayB], the run-queue
+    subscription that counts the maintenance the plan would receive,
+    and the coalesced load-update constants.  The list and the plan
+    are created at the sandbox's first such pause and kept for its
+    whole life: {!Vmm.pause} refills the list, {!Vmm.resume} refills
+    the plan from [arrayB] and merges the list away.  This module
+    only stores that state. *)
 
 type state = Created | Booting | Running | Paused | Stopped | Crashed
 
@@ -45,15 +47,19 @@ type placement = {
 type horse_state = {
   merge_vcpus : Horse_sched.Vcpu.t Horse_psm.Arena_list.t;
       (** the sandbox's vCPUs, pre-sorted by the scheduler's key, in
-          the ull_runqueue's arena so the merge can splice them *)
-  ull_queue : Horse_sched.Runqueue.t;  (** assigned at pause time *)
+          the scheduler's arena so the merge can splice them (empty
+          while the sandbox runs) *)
   plan : Horse_sched.Vcpu.t Horse_psm.Psm.Plan.t;
-      (** posA, against the queue's arrayB ({!Horse_sched.Runqueue.index});
-          it catches up with the queue's mutation log at resume *)
-  subscription : Horse_sched.Runqueue.subscription;
-  precomputed : Horse_coalesce.Coalesce.Precomputed.t option;
-      (** the §4.2.2 constants; [None] for [Ppsm] (vanilla load path) *)
+      (** posA over [merge_vcpus], derived from the queue's arrayB
+          ({!Horse_sched.Runqueue.index}) when the sandbox resumes *)
+  precomputed : Horse_coalesce.Coalesce.Precomputed.t;
+      (** the §4.2.2 constants for the sandbox's vCPU count (applied
+          by [Horse], not by [Ppsm]'s vanilla load path) *)
+  mutable ull_queue : Horse_sched.Runqueue.t;  (** assigned at each pause *)
+  mutable subscription : Horse_sched.Runqueue.subscription;
+      (** live while paused on [ull_queue] *)
 }
+(** Created by the sandbox's first HORSE-family pause, then reused. *)
 
 type t
 
@@ -105,6 +111,7 @@ val set_horse_state : t -> horse_state option -> unit
 
 val horse_memory_footprint_bytes : t -> int
 (** Estimated bytes held by the P²SM structures while paused (0 when
-    not paused under P²SM) — the §5.2 memory-overhead figure. *)
+    not paused under P²SM) — the §5.2 memory-overhead figure.  Refills
+    the plan from the queue's [arrayB] to size it. *)
 
 val pp : Format.formatter -> t -> unit

@@ -50,8 +50,20 @@ type t = {
      string hashing *)
   pauses_c : int ref array;
   resumes_c : int ref array;
-  resume_ns_s : Metrics.series array;
+  (* forced at the first P²SM pause, so a VMM that never makes one
+     lists no such counter *)
+  maintenance_events : int ref Lazy.t;
+  (* the §4.2.2 constants per vCPU count, shared by every pause *)
+  precomputed : Coalesce.Precomputed.t array;
 }
+
+let pelt = Coalesce.Affine.pelt
+
+let make_precomputed n =
+  Coalesce.Precomputed.make ~alpha:pelt.Coalesce.Affine.alpha
+    ~beta:pelt.Coalesce.Affine.beta ~n
+
+let precomputed_vcpus = 64
 
 let create ?(cost = Cost_model.firecracker) ?(jitter = 0.02) ?(seed = 7)
     ?(faults = Fault.Plan.none) ~scheduler ~metrics () =
@@ -72,8 +84,14 @@ let create ?(cost = Cost_model.firecracker) ?(jitter = 0.02) ?(seed = 7)
     faults;
     pauses_c = by_strategy "vmm.pauses.%s" Metrics.counter_ref;
     resumes_c = by_strategy "vmm.resumes.%s" Metrics.counter_ref;
-    resume_ns_s = by_strategy "vmm.resume_ns.%s" Metrics.series_handle;
+    maintenance_events =
+      lazy (Metrics.counter_ref metrics "psm.maintenance_events");
+    precomputed = Array.init (precomputed_vcpus + 1) make_precomputed;
   }
+
+let precomputed t n =
+  if n < Array.length t.precomputed then t.precomputed.(n)
+  else make_precomputed n
 
 let cost t = t.cost
 
@@ -92,7 +110,7 @@ let require_state sandbox expected message =
   if not (List.mem (Sandbox.state sandbox) expected) then
     raise (Invalid_state message)
 
-(* Remove the sandbox's vCPUs from their queues; each queue logs the
+(* Remove the sandbox's vCPUs from their queues; each queue counts the
    removals for the paused sandboxes subscribed to it. *)
 let evacuate t sandbox =
   let walked = ref 0 in
@@ -114,14 +132,13 @@ let teardown t sandbox =
   (match Sandbox.state sandbox with
   | Sandbox.Running -> ignore (evacuate t sandbox)
   | Sandbox.Paused -> (
-    match Sandbox.horse_state sandbox with
-    | Some hs ->
+    match (Sandbox.pause_strategy sandbox, Sandbox.horse_state sandbox) with
+    | Some (Sandbox.Ppsm | Sandbox.Horse), Some hs ->
       Runqueue.unsubscribe hs.Sandbox.ull_queue hs.Sandbox.subscription;
       while Al.pop_first hs.Sandbox.merge_vcpus <> None do
         ()
-      done;
-      Sandbox.set_horse_state sandbox None
-    | None -> ())
+      done
+    | _ -> ())
   | Sandbox.Created | Sandbox.Booting | Sandbox.Stopped | Sandbox.Crashed ->
     ());
   Sandbox.set_pause_strategy sandbox None;
@@ -180,37 +197,41 @@ let restore t sandbox =
   Metrics.incr t.metrics "vmm.restores";
   jittered t t.cost.Cost_model.restore_ns
 
-let pelt = Coalesce.Affine.pelt
-
-let make_precomputed n =
-  Coalesce.Precomputed.make ~alpha:pelt.Coalesce.Affine.alpha
-    ~beta:pelt.Coalesce.Affine.beta ~n
-
-(* Pause-side setup of the §4.1.3 structures: merge_vcpus and posA
-   against the queue's arrayB, and the subscription under which the
-   queue logs what posA must catch up with at resume. *)
-let build_horse_state t sandbox ~with_coalesce =
+(* Pause-side setup of the §4.1.3 structures: subscribe to the
+   least-attached ull queue and sort the vCPUs into merge_vcpus.  The
+   list and the plan are made at the sandbox's first P²SM pause and
+   reused by every later one; posA is derived at resume. *)
+let park_on_ull t sandbox =
   let ull_queue = Scheduler.select_ull_for_pause t.scheduler in
-  (* merge_vcpus lives in the queue's arena: the eventual splice is
-     slot surgery, not a copy. *)
-  let merge_vcpus = Al.create (Runqueue.arena ull_queue) in
-  Array.iter
-    (fun vcpu -> ignore (Al.insert_sorted merge_vcpus vcpu))
-    (Sandbox.vcpus sandbox);
-  let plan =
-    Psm.Plan.build ~source:merge_vcpus ~index:(Runqueue.index ull_queue)
+  let subscription =
+    Runqueue.subscribe ull_queue ~events:(Lazy.force t.maintenance_events)
   in
-  let events = Metrics.counter_ref t.metrics "psm.maintenance_events" in
-  let subscription = Runqueue.subscribe ull_queue ~events plan in
-  {
-    Sandbox.merge_vcpus;
-    ull_queue;
-    plan;
-    subscription;
-    precomputed =
-      (if with_coalesce then Some (make_precomputed (Sandbox.vcpu_count sandbox))
-       else None);
-  }
+  let hs =
+    match Sandbox.horse_state sandbox with
+    | Some hs ->
+      hs.Sandbox.ull_queue <- ull_queue;
+      hs.Sandbox.subscription <- subscription;
+      hs
+    | None ->
+      (* merge_vcpus lives in the scheduler's arena, shared by all its
+         queues: the eventual splice is slot surgery, not a copy. *)
+      let merge_vcpus = Al.create (Runqueue.arena ull_queue) in
+      let hs =
+        {
+          Sandbox.merge_vcpus;
+          plan = Psm.Plan.create merge_vcpus;
+          precomputed = precomputed t (Sandbox.vcpu_count sandbox);
+          ull_queue;
+          subscription;
+        }
+      in
+      Sandbox.set_horse_state sandbox (Some hs);
+      hs
+  in
+  let vcpus = Sandbox.vcpus sandbox in
+  for i = 0 to Array.length vcpus - 1 do
+    ignore (Al.insert_sorted hs.Sandbox.merge_vcpus vcpus.(i))
+  done
 
 let pause t ~strategy sandbox =
   require_state sandbox [ Sandbox.Running ] "pause: sandbox not running";
@@ -234,15 +255,13 @@ let pause t ~strategy sandbox =
     | Sandbox.Coal ->
       Sandbox.set_paused_values sandbox
         (Array.to_list (Sandbox.vcpus sandbox));
-      Sandbox.set_coal_precomputed sandbox (Some (make_precomputed n));
+      Sandbox.set_coal_precomputed sandbox (Some (precomputed t n));
       c.Cost_model.coalesce_precompute_ns
     | Sandbox.Ppsm ->
-      Sandbox.set_horse_state sandbox
-        (Some (build_horse_state t sandbox ~with_coalesce:false));
+      park_on_ull t sandbox;
       float_of_int n *. c.Cost_model.pause_sort_vcpu_ns
     | Sandbox.Horse ->
-      Sandbox.set_horse_state sandbox
-        (Some (build_horse_state t sandbox ~with_coalesce:true));
+      park_on_ull t sandbox;
       (float_of_int n *. c.Cost_model.pause_sort_vcpu_ns)
       +. c.Cost_model.coalesce_precompute_ns
   in
@@ -250,9 +269,10 @@ let pause t ~strategy sandbox =
   Sandbox.set_state sandbox Sandbox.Paused;
   let cnt = t.pauses_c.(Sandbox.strategy_code strategy) in
   cnt := !cnt + 1;
-  Log.debug (fun m ->
-      m "pause %a strategy=%s" Sandbox.pp sandbox
-        (Sandbox.strategy_name strategy));
+  if Horse_sim.Logging.debug_on log_src then
+    Log.debug (fun m ->
+        m "pause %a strategy=%s" Sandbox.pp sandbox
+          (Sandbox.strategy_name strategy));
   jittered t (base +. extra)
 
 (* Step ④, vanilla flavour: one sorted insert per vCPU into the
@@ -333,7 +353,7 @@ let resume t sandbox =
                  placements)
           in
           Load_tracking.on_enqueue_coalesced (Runqueue.load queue)
-            (make_precomputed k))
+            (precomputed t k))
         (distinct_queues placements);
       (* the lock-protected global variable: a single coalesced write *)
       (match Sandbox.coal_precomputed sandbox with
@@ -345,7 +365,8 @@ let resume t sandbox =
       match Sandbox.horse_state sandbox with
       | None -> raise (Invalid_state "resume: HORSE pause state missing")
       | Some hs ->
-        Runqueue.catch_up hs.Sandbox.ull_queue hs.Sandbox.subscription;
+        Runqueue.catch_up hs.Sandbox.ull_queue hs.Sandbox.subscription
+          hs.Sandbox.plan;
         let stats, nodes =
           Runqueue.apply_merge hs.Sandbox.ull_queue ~plan:hs.Sandbox.plan
             ~source:hs.Sandbox.merge_vcpus
@@ -366,22 +387,20 @@ let resume t sandbox =
         in
         let load_tracker = Runqueue.load hs.Sandbox.ull_queue in
         let load_ns =
-          match (strategy, hs.Sandbox.precomputed) with
-          | Sandbox.Horse, Some pre ->
+          match strategy with
+          | Sandbox.Horse ->
+            let pre = hs.Sandbox.precomputed in
             Load_tracking.on_enqueue_coalesced load_tracker pre;
             Load_tracking.on_enqueue_coalesced
               (Scheduler.global_load t.scheduler) pre;
             c.Cost_model.coalesce_apply_ns
-          | Sandbox.Horse, None ->
-            raise (Invalid_state "resume: HORSE without coalesce constants")
-          | (Sandbox.Ppsm | Sandbox.Vanilla | Sandbox.Coal), _ ->
+          | Sandbox.Ppsm | Sandbox.Vanilla | Sandbox.Coal ->
             for _ = 1 to n do
               Load_tracking.on_enqueue load_tracker;
               Load_tracking.on_enqueue (Scheduler.global_load t.scheduler)
             done;
             vanilla_load_ns
         in
-        Sandbox.set_horse_state sandbox None;
         (merge_ns, load_ns, stats.Psm.Plan.threads))
   in
   Sandbox.set_pause_strategy sandbox None;
@@ -402,12 +421,11 @@ let resume t sandbox =
   let code = Sandbox.strategy_code strategy in
   let cnt = t.resumes_c.(code) in
   cnt := !cnt + 1;
-  Metrics.observe_h t.resume_ns_s.(code)
-    (float_of_int (Time.span_to_ns total));
-  Log.debug (fun m ->
-      m "resume %a strategy=%s total=%dns threads=%d" Sandbox.pp sandbox
-        (Sandbox.strategy_name strategy)
-        (Time.span_to_ns total) merge_threads);
+  if Horse_sim.Logging.debug_on log_src then
+    Log.debug (fun m ->
+        m "resume %a strategy=%s total=%dns threads=%d" Sandbox.pp sandbox
+          (Sandbox.strategy_name strategy)
+          (Time.span_to_ns total) merge_threads);
   {
     total;
     breakdown;

@@ -83,10 +83,12 @@ val restore : t -> Sandbox.t -> Horse_sim.Time_ns.span
 val pause : t -> strategy:Sandbox.strategy -> Sandbox.t -> Horse_sim.Time_ns.span
 (** Remove the sandbox's vCPUs from their queues and stash the
     strategy-dependent resume state: the vanilla value list, the
-    [Coal] coalescing constants, or the full HORSE state
-    (merge_vcpus, posA against the assigned ull_runqueue's arrayB, and
-    the subscription under which the queue logs the changes posA
-    catches up with at resume).
+    [Coal] coalescing constants, or the HORSE state: the sandbox's
+    merge_vcpus refilled and a subscription to the least-attached
+    ull_runqueue, under which the queue counts posA's maintenance.
+    The list and the plan are made at the first such pause and
+    reused; posA itself is derived from the queue's arrayB at
+    resume.
     @raise Invalid_state unless [Running]. *)
 
 val resume : t -> Sandbox.t -> resume_result

@@ -434,10 +434,11 @@ let test_plan_source_remove () =
   ignore (Psm.Plan.execute plan ~index:idx ~source:a);
   check_list "merged" [ 2; 5; 8 ] (Al.to_list b)
 
-(* note_target_insert runs once per paused plan per logged queue
-   mutation, so it must not allocate: every branch of the segment
-   split (nothing moves, the whole segment moves, a suffix splits off)
-   over a plan whose segment arrays never need to grow. *)
+(* note_target_insert is eager per-mutation maintenance, the oracle a
+   plan derived at resume is checked against, so it must not allocate:
+   every branch of the segment split (nothing moves, the whole segment
+   moves, a suffix splits off) over a plan whose segment arrays never
+   need to grow. *)
 let test_plan_target_insert_allocates_nothing () =
   let a, b = pair_in_arena [ 2; 4; 6 ] [ 5 ] in
   let idx = Psm.Index.build b in

@@ -102,16 +102,16 @@ let test_runqueue_notifications () =
   let q = mk_queue ~kind:Runqueue.Ull () in
   let events = ref 0 in
   let source, plan = paused_plan q [ 3; 7; 12 ] in
-  let sub = Runqueue.subscribe q ~events plan in
+  let sub = Runqueue.subscribe q ~events in
   let v1 = mk_vcpu ~index:0 ~credit:10 () in
   let v2 = mk_vcpu ~index:1 ~credit:5 () in
   let n1, p1 = Runqueue.enqueue q v1 in
   let _, p2 = Runqueue.enqueue q v2 in
   let p3 = Runqueue.dequeue q n1 in
-  Alcotest.(check (list int)) "logged positions: insert 0, insert 0, remove 1"
+  Alcotest.(check (list int)) "reported positions: insert 0, insert 0, remove 1"
     [ 0; 0; 1 ] [ p1; p2; p3 ];
   Alcotest.(check int) "one delivery per mutation" 3 !events;
-  Runqueue.catch_up q sub;
+  Runqueue.catch_up q sub plan;
   (* the eager fan-out's sequence: {3;7;12}@0 -> {3;7}@0 {12}@1 ->
      {3}@0 {7}@1 {12}@2 -> {3}@0 {7;12}@1 *)
   Alcotest.(check bool) "caught-up plan" true
@@ -120,21 +120,20 @@ let test_runqueue_notifications () =
     (fresh_against q ~source plan);
   ignore (Runqueue.enqueue q (mk_vcpu ~index:2 ()));
   Alcotest.(check int) "nothing counted after catch_up" 3 !events;
-  Alcotest.(check int) "nothing logged" 0 (Runqueue.log_length q);
   Alcotest.(check int) "subscriber count" 0 (Runqueue.subscriber_count q)
 
 let test_runqueue_pop_front_notifies () =
   let q = mk_queue ~kind:Runqueue.Ull () in
   let events = ref 0 in
   let source, plan = paused_plan q [ 2 ] in
-  let sub = Runqueue.subscribe q ~events plan in
+  let sub = Runqueue.subscribe q ~events in
   ignore (Runqueue.enqueue q (mk_vcpu ~credit:1 ()));
   ignore (Runqueue.enqueue q (mk_vcpu ~index:1 ~credit:3 ()));
   let v = Option.get (Runqueue.pop_front q) in
   Alcotest.(check int) "least credit popped" 1 (Vcpu.credit v);
   Alcotest.(check int) "the removal is counted" 3 !events;
-  Runqueue.catch_up q sub;
-  Alcotest.(check bool) "removal at 0 replayed" true
+  Runqueue.catch_up q sub plan;
+  Alcotest.(check bool) "plan derived after the removal at 0" true
     (Psm.Plan.keys_counts plan = ([| 0 |], [| 1 |])
     && fresh_against q ~source plan)
 
@@ -147,7 +146,7 @@ let test_runqueue_apply_merge () =
   let events = ref 0 in
   let by_source, bystander = paused_plan ~sandbox:2 q [ 15; 35 ] in
   let _, twin = paused_plan ~sandbox:3 q [ 15; 35 ] in
-  let sub = Runqueue.subscribe q ~events bystander in
+  let sub = Runqueue.subscribe q ~events in
   let source, plan = paused_plan ~sandbox:1 q [ 5; 20; 40 ] in
   let stats, nodes = Runqueue.apply_merge q ~plan ~source in
   Alcotest.(check int) "3 spliced" 3 stats.Psm.Plan.spliced;
@@ -157,12 +156,12 @@ let test_runqueue_apply_merge () =
   Alcotest.(check bool) "arrayB follows the merge" true
     (Psm.Index.is_consistent (Runqueue.index q));
   Alcotest.(check int) "one delivery per spliced vCPU" 3 !events;
-  (* the merge is logged as sequential inserts at 0, 2 and 4 *)
+  (* the merge counts as sequential inserts at 0, 2 and 4 *)
   List.iter
     (fun (pos, credit) ->
       Psm.Plan.note_target_insert twin ~pos (mk_vcpu ~credit ()))
     [ (0, 5); (2, 20); (4, 40) ];
-  Runqueue.catch_up q sub;
+  Runqueue.catch_up q sub bystander;
   Alcotest.(check bool) "positions as sequential inserts" true
     (same_shape bystander twin
     && fresh_against q ~source:by_source bystander);
@@ -176,10 +175,11 @@ let test_runqueue_apply_merge () =
    then apply_merge) and leaving mid-stream.  Each subscriber has a
    twin plan over an identical source that the script updates eagerly
    from the positions the queue reports, exactly as the per-mutation
-   fan-out did.  At every catch_up the deferred plan must equal its
-   twin and a from-scratch rebuild, and the events counter must equal
-   the subscriber count summed over mutations.  Returns the checks
-   that failed and the caught-up plan shapes, in catch_up order. *)
+   fan-out did.  At every catch_up the plan derived from arrayB must
+   equal its twin and a from-scratch rebuild, and the events counter
+   must equal the subscriber count summed over mutations.  Returns the
+   checks that failed and the caught-up plan shapes, in catch_up
+   order. *)
 type op =
   | Enq of int  (** enqueue a vCPU with this credit *)
   | Deq of int  (** dequeue the node at this index (mod length) *)
@@ -230,13 +230,13 @@ let run_deferred_script ops =
         incr next_id;
         let source, plan = paused_plan ~sandbox:!next_id q credits in
         let _, twin = paused_plan ~sandbox:(- !next_id) q credits in
-        let sub = Runqueue.subscribe q ~events plan in
+        let sub = Runqueue.subscribe q ~events in
         live := !live @ [ { sub; source; plan; twin } ]
       | Resume _ when !live = [] -> ()
       | Resume i ->
         let p = nth_live i in
         drop p;
-        Runqueue.catch_up q p.sub;
+        Runqueue.catch_up q p.sub p.plan;
         check "twin" (same_shape p.plan p.twin);
         check "fresh" (fresh_against q ~source:p.source p.plan);
         check "counter" (!events = !expected);
@@ -256,15 +256,13 @@ let run_deferred_script ops =
         let p = nth_live i in
         drop p;
         Runqueue.unsubscribe q p.sub);
-      check "bounded log"
-        (Runqueue.log_length q <= 2 * Runqueue.subscriber_count q);
       check "arrayB fresh" (Psm.Index.is_consistent (Runqueue.index q));
       check "sorted" (Al.is_sorted (Runqueue.queue q)))
     ops;
   (* everyone still paused resumes at the end *)
   List.iter
     (fun p ->
-      Runqueue.catch_up q p.sub;
+      Runqueue.catch_up q p.sub p.plan;
       check "final twin" (same_shape p.plan p.twin);
       check "final fresh" (fresh_against q ~source:p.source p.plan);
       shapes := Psm.Plan.keys_counts p.plan :: !shapes)
@@ -272,8 +270,8 @@ let run_deferred_script ops =
   check "final counter" (!events = !expected);
   (List.rev !failures, List.rev !shapes)
 
-(* Satellite: the replay is deterministic.  Subscriber a pauses before
-   any churn, b after 50 mutations; both must catch up to their eager
+(* Catching up is deterministic.  Subscriber a pauses before any
+   churn, b after 50 mutations; both must catch up to their eager
    twins (b's started where b joined), and a rerun of the same seed
    must reproduce the exact plans. *)
 let churn_with_two_subscribers seed =
@@ -297,25 +295,34 @@ let test_subscriber_determinism seed () =
   let _, shapes' = churn_with_two_subscribers seed in
   Alcotest.(check bool) "identical across reruns" true (shapes = shapes')
 
-(* A logged insert keeps the key the vCPU had then: here credit2
-   burns the queued vCPU's credit before the bystander resumes, and
-   the replay must still split the bystander's plan where the eager
-   fan-out did, at credit 20 — not at the burned 10. *)
+(* The plan comes from arrayB at resume, not from the keys the queued
+   vCPUs had when they were inserted.  Here a queued vCPU's credit is
+   burned in place from 20 to 10 before the paused sandbox resumes:
+   its plan must place both of its vCPUs (15, 25) after the 10, so the
+   merged queue stays sorted.  The eager twin, which split at the
+   inserted key 20, would leave 15 ahead of 10. *)
 let test_replay_keeps_logged_key () =
   let q = mk_queue ~kind:Runqueue.Ull () in
   let events = ref 0 in
-  let _, plan = paused_plan q [ 15; 25 ] in
+  let source, plan = paused_plan q [ 15; 25 ] in
   let _, twin = paused_plan ~sandbox:51 q [ 15; 25 ] in
-  let sub = Runqueue.subscribe q ~events plan in
+  let sub = Runqueue.subscribe q ~events in
   let v = mk_vcpu ~credit:20 () in
   let _, pos = Runqueue.enqueue q v in
   Psm.Plan.note_target_insert twin ~pos v;
   Credit2.charge v ~ran_for:(Time.span_us 10.0);
   Alcotest.(check int) "credit burned" 10 (Vcpu.credit v);
-  Runqueue.catch_up q sub;
-  Alcotest.(check bool) "split at the logged key" true
-    (Psm.Plan.keys_counts plan = ([| 0; 1 |], [| 1; 1 |])
-    && same_shape plan twin)
+  Runqueue.catch_up q sub plan;
+  Alcotest.(check bool) "plan derived from arrayB at resume" true
+    (Psm.Plan.keys_counts plan = ([| 1 |], [| 2 |])
+    && fresh_against q ~source plan);
+  Alcotest.(check bool) "the eager twin split at the inserted key" true
+    (Psm.Plan.keys_counts twin = ([| 0; 1 |], [| 1; 1 |]));
+  ignore (Runqueue.apply_merge q ~plan ~source);
+  Alcotest.(check (list int)) "merged order" [ 10; 15; 25 ]
+    (List.map Vcpu.credit (Al.to_list (Runqueue.queue q)));
+  Alcotest.(check bool) "merged queue sorted" true
+    (Al.is_sorted (Runqueue.queue q))
 
 let test_runqueue_merge_wrong_index_rejected () =
   let q = mk_queue ~kind:Runqueue.Ull ()
@@ -435,9 +442,11 @@ let test_scheduler_select_normal_spreads () =
 
 (* Attachment is the queue's subscriber count: pausing against a queue
    subscribes, resuming catches up and leaves. *)
-let attach q =
+let attach q = Runqueue.subscribe q ~events:(ref 0)
+
+let resume_from q sub =
   let _, plan = paused_plan q [ 1 ] in
-  Runqueue.subscribe q ~events:(ref 0) plan
+  Runqueue.catch_up q sub plan
 
 let test_scheduler_ull_balance () =
   let s = Scheduler.create ~ull_count:2 ~topology:small_topology () in
@@ -446,7 +455,7 @@ let test_scheduler_ull_balance () =
   let q2 = Scheduler.select_ull_for_pause s in
   Alcotest.(check bool) "balances" true (Runqueue.id q1 <> Runqueue.id q2);
   ignore (attach q2);
-  Runqueue.catch_up q1 s1;
+  resume_from q1 s1;
   let q3 = Scheduler.select_ull_for_pause s in
   Alcotest.(check int) "prefers emptier" (Runqueue.id q1) (Runqueue.id q3)
 
@@ -454,10 +463,10 @@ let test_scheduler_detach_guard () =
   let s = Scheduler.create ~topology:small_topology () in
   let q = Scheduler.select_ull_for_pause s in
   let sub = attach q in
-  Runqueue.catch_up q sub;
+  resume_from q sub;
   Alcotest.check_raises "none attached"
     (Invalid_argument "Runqueue.catch_up: not subscribed") (fun () ->
-      Runqueue.catch_up q sub);
+      resume_from q sub);
   Runqueue.unsubscribe q sub (* idempotent *);
   Alcotest.(check int) "detached" 0 (Runqueue.subscriber_count q)
 
@@ -585,13 +594,13 @@ let test_executor_feeds_psm_subscribers () =
   let queue = Scheduler.runqueue scheduler ~cpu:3 in
   let events = ref 0 in
   let source, plan = paused_plan queue [ 5_000; 20_000 ] in
-  let sub = Runqueue.subscribe queue ~events plan in
+  let sub = Runqueue.subscribe queue ~events in
   Executor.submit ex ~queue ~vcpu:(mk_vcpu ()) ~work:(Time.span_us 3.0)
     ~on_done:(fun _ -> ());
   Engine.run engine;
   (* 3 slices: 1 initial enqueue + 2 re-enqueues + 3 pops = 6 events *)
   Alcotest.(check int) "notifications flowed" 6 !events;
-  Runqueue.catch_up queue sub;
+  Runqueue.catch_up queue sub plan;
   Alcotest.(check bool) "plan caught up" true (fresh_against queue ~source plan)
 
 (* ------------------------------------------------------------------ *)
@@ -730,22 +739,21 @@ let prop_merge_positions_track_subscriber =
         (fun index credit ->
           ignore (Runqueue.enqueue q (mk_vcpu ~sandbox:2 ~index ~credit ())))
         queue_credits;
-      (* a bystander paused before the merge replays it at resume, then
+      (* a bystander paused before the merge catches up at resume, then
          merges itself: the queue must end up the sorted union *)
       let by_source, bystander = paused_plan ~sandbox:4 q bystander_credits in
-      let sub = Runqueue.subscribe q ~events:(ref 0) bystander in
+      let sub = Runqueue.subscribe q ~events:(ref 0) in
       let source, plan = paused_plan ~sandbox:3 q source_credits in
       ignore (Runqueue.apply_merge q ~plan ~source);
-      Runqueue.catch_up q sub;
+      Runqueue.catch_up q sub bystander;
       fresh_against q ~source:by_source bystander
       &&
       (ignore (Runqueue.apply_merge q ~plan:bystander ~source:by_source);
        List.map Vcpu.credit (Al.to_list (Runqueue.queue q))
        = List.sort compare (queue_credits @ source_credits @ bystander_credits)))
 
-(* The tentpole property: random interleavings of every queue mutation
-   with paused subscribers joining, resuming and leaving, long enough
-   to cross the flush bound many times. *)
+(* The property: random interleavings of every queue mutation with
+   paused subscribers joining, resuming and leaving. *)
 let op_gen =
   QCheck2.Gen.(
     frequency

@@ -314,6 +314,38 @@ let test_memory_footprint_while_paused () =
   Alcotest.(check int) "released after resume" 0
     (Sandbox.horse_memory_footprint_bytes sb)
 
+(* From a sandbox's second P²SM pause on, the pause/resume cycle
+   reuses the merge list and the plan made at its first pause: what it
+   allocates is the resume's result and placement bookkeeping, pinned
+   here exactly for a 4-vCPU sandbox (a fresh plan and list per cycle
+   would add about 60 words).  A second paused sandbox keeps the queue
+   subscribed. *)
+let cycle_words = 120.0
+
+let test_steady_cycle_allocates_no_plan () =
+  let vmm, _, _ = fresh () in
+  let bystander = mk_sandbox ~id:2 ~vcpus:3 () in
+  ignore (Vmm.boot vmm bystander);
+  ignore (Vmm.pause vmm ~strategy:Sandbox.Horse bystander);
+  let sb = mk_sandbox ~vcpus:4 () in
+  ignore (Vmm.boot vmm sb);
+  let cycle () =
+    ignore (Vmm.pause vmm ~strategy:Sandbox.Horse sb);
+    ignore (Vmm.resume vmm sb)
+  in
+  cycle () (* the first pause makes the list and the plan *);
+  let hs = Option.get (Sandbox.horse_state sb) in
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    cycle ()
+  done;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words per cycle" cycle_words
+    ((w2 -. w1 -. (w1 -. w0)) /. 100.0);
+  Alcotest.(check bool) "the same list and plan" true
+    (Option.get (Sandbox.horse_state sb) == hs)
+
 let test_stop_releases_everything () =
   let vmm, scheduler, _ = fresh () in
   let sb = mk_sandbox ~vcpus:2 () in
@@ -570,6 +602,8 @@ let () =
             test_pause_resume_cycles_stay_consistent;
           Alcotest.test_case "memory footprint" `Quick
             test_memory_footprint_while_paused;
+          Alcotest.test_case "steady cycle allocates no plan" `Quick
+            test_steady_cycle_allocates_no_plan;
         ] );
       ( "boot",
         [
