@@ -426,7 +426,7 @@ let () =
           Batch.add batch ~at:(Time.span_ns (10 * k)) ~fn_id:0
             ~payload:(lat_ns k)
         done;
-        let arena = Arena.create ~capacity:path_n () in
+        let arena = Arena.create () in
         let log = ref (Array.make 1024 0) in
         let log_len = ref 0 in
         let q = Stats.Quantile.create ~quantiles:[| 0.5; 0.99; 0.999 |] () in

@@ -358,6 +358,7 @@ type t = {
   policy : Policy.instance;
   mutable view : Policy.view;  (* one reusable view; closures read [t] *)
   mutable view_name : string;  (* function under decision, for [v_warm] *)
+  mutable view_fn_id : int;  (* its dense id: Direct [v_warm] reads by id *)
   pending : pending_trigger Queue.t;  (* router-side claimable queue *)
   claims : int Queue.t;  (* servers whose claims await resolution *)
   mutable draining : bool;  (* claim-resolution loop re-entrancy guard *)
@@ -374,8 +375,10 @@ type t = {
      one word per trigger; readers walk it with [iter_records] /
      [fold_records] and box a row only via [Platform.record_of_slot]. *)
   srv_bits : int;
-  mutable log : int array;
-  mutable log_len : int;
+  log : Int_rows.t;
+  mutable direct_sinks : (int -> unit) array;
+      (* Direct mode: server [i]'s completion sink, shared by every
+         trigger dispatched at its arrival instant ([dispatch_direct]) *)
   mutable rejected : rejection list;  (* newest first *)
 }
 
@@ -412,11 +415,11 @@ let pool_view_entry s ~servers name =
     Hashtbl.replace s name row;
     row
 
-let warm_of t ~name i =
+let warm_of t i =
   match t.backend with
-  | Direct -> Platform.pool_size t.platforms.(i) ~name
+  | Direct -> Platform.pool_size_id t.platforms.(i) ~fn_id:t.view_fn_id
   | Sharded s ->
-    (pool_view_entry s.pool_view ~servers:(server_count t) name).(i)
+    (pool_view_entry s.pool_view ~servers:(server_count t) t.view_name).(i)
 
 (* Least-loaded among healthy servers; [None] when the fleet is down.
    Direct mode scans (its live counts change outside the router's
@@ -441,7 +444,7 @@ let make_view t =
     Policy.v_servers = server_count t;
     v_healthy = (fun i -> t.healthy.(i));
     v_live = (fun i -> live_of t i);
-    v_warm = (fun i -> warm_of t ~name:t.view_name i);
+    v_warm = (fun i -> warm_of t i);
     v_busy =
       (match t.backend with
       | Direct -> fun i -> Platform.busy_vcpus t.platforms.(i)
@@ -450,6 +453,219 @@ let make_view t =
     v_pending = (fun () -> Queue.length t.pending);
     v_least_loaded = (fun () -> least_loaded_index t);
   }
+
+let server t i =
+  if i < 0 || i >= server_count t then
+    invalid_arg "Cluster.server: index out of range";
+  t.platforms.(i)
+
+let policy_name t = t.policy.Policy.label
+
+let engine t = t.engine
+
+let shard_engine t =
+  match t.backend with Direct -> None | Sharded s -> Some s.se
+
+let shards t = match t.backend with Direct -> 1 | Sharded s -> s.exec_shards
+
+let metrics t = t.metrics
+
+let healthy t i =
+  if i < 0 || i >= server_count t then
+    invalid_arg "Cluster.healthy: index out of range";
+  t.healthy.(i)
+
+let healthy_count t = t.healthy_n
+
+let pending_count t = Queue.length t.pending
+
+let e2e_latencies t = t.e2e
+
+let log_push t ~server ~slot =
+  let k = Int_rows.append t.log in
+  Int_rows.set t.log k 0 ((slot lsl t.srv_bits) lor server)
+
+(* All server registries intern the same functions in the same order
+   ([register] fans out to every server), so any server's ids stand
+   for the fleet; server 0 is the canonical lookup. *)
+let fn_id t ~name = Platform.fn_id t.platforms.(0) ~name
+
+let function_name t ~fn_id = Platform.function_name t.platforms.(0) ~fn_id
+
+let fn_vcpus t ~fn_id =
+  (Function_def.Registry.def (Platform.registry t.platforms.(0)) fn_id)
+    .Function_def.vcpus
+
+(* Keep the sharded live mirror and its argmin index in lockstep. *)
+let set_live s i v =
+  s.live_view.(i) <- v;
+  Load_index.set s.li i v
+
+let observe_e2e t ~arrival =
+  match t.e2e with
+  | None -> ()
+  | Some q ->
+    Stats.Quantile.add q
+      (float_of_int (Time.to_ns (Engine.now t.engine) - Time.to_ns arrival)
+      /. 1e3)
+
+let reject t ~reason ~name =
+  let rejection =
+    { reason; function_name = name; at = Engine.now t.engine }
+  in
+  t.rejected <- rejection :: t.rejected;
+  Metrics.incr t.metrics
+    (Printf.sprintf "cluster.rejections.%s" (reject_reason_name reason));
+  Rejected rejection
+
+let rec push_claims q = function
+  | [] -> ()
+  | i :: rest ->
+    Queue.push i q;
+    push_claims q rest
+
+(* Dispatching and claim resolution are mutually recursive: a
+   dispatched claim can reject synchronously (Direct mode), whose
+   [on_rejection] hook can emit further claims.  Claims therefore go
+   through an explicit queue drained by one non-reentrant loop —
+   bounded work per event, no recursion depth to worry about. *)
+
+(* Sharded placement: the router commits to server [i] and the trigger
+   crosses the placement delay as a message; the server's outcome
+   (completion notification or a dry pool) crosses back the same way.
+   All router-side state — the completion log, mirrors, rejection log
+   — mutates only on shard 0, in deterministic message-delivery order.
+   The completion carries the arena slot, not a boxed record: the
+   router logs one packed int and materializes a record only for an
+   explicit [on_complete] subscriber. *)
+let rec dispatch_sharded t s ~name ~fn_id ~mode ~on_complete ~arrival i =
+  t.trigger_counts.(i) <- t.trigger_counts.(i) + 1;
+  set_live s i (s.live_view.(i) + 1);
+  (match mode with
+  | Platform.Warm _ ->
+    let row = pool_view_entry s.pool_view ~servers:(server_count t) name in
+    if row.(i) > 0 then row.(i) <- row.(i) - 1
+  | Platform.Cold | Platform.Restore -> ());
+  let vc = fn_vcpus t ~fn_id in
+  s.busy_view.(i) <- s.busy_view.(i) + vc;
+  let platform = t.platforms.(i) in
+  let arrive = Time.add (Engine.now t.engine) s.placement in
+  Shard_engine.post s.se ~src:0 ~dst:(i + 1) ~at:arrive (fun server_engine ->
+      match
+        Platform.trigger_id platform ~fn_id ~mode ~on_complete_slot:(fun slot ->
+            (* server side, completion time: capture the pool size the
+               sandbox just returned to, then notify the router *)
+            let pool_now = Platform.pool_size platform ~name in
+            let done_at = Time.add (Engine.now server_engine) s.placement in
+            Shard_engine.post s.se ~src:(i + 1) ~dst:0 ~at:done_at (fun _ ->
+                log_push t ~server:i ~slot;
+                set_live s i (max 0 (s.live_view.(i) - 1));
+                (* reconcile the pool mirror by conservation bounded
+                   by ground truth: this completion freed exactly one
+                   slot (already counted in [pool_now]), and a plain
+                   overwrite would erase the optimistic debits of
+                   dispatches still in flight, letting the router
+                   over-commit a nearly-dry pool *)
+                let row =
+                  pool_view_entry s.pool_view ~servers:(server_count t) name
+                in
+                row.(i) <- min (row.(i) + 1) pool_now;
+                s.busy_view.(i) <- max 0 (s.busy_view.(i) - vc);
+                observe_e2e t ~arrival;
+                (match on_complete with
+                | None -> ()
+                | Some f -> f (i, Platform.record_of_slot platform slot));
+                apply_claims t
+                  (t.policy.Policy.on_completion t.view ~server:i)))
+      with
+      | () -> ()
+      | exception Platform.No_warm_sandbox _ ->
+        (* dry on arrival: the router learns one placement delay
+           later and records the typed rejection then *)
+        let pool_now = Platform.pool_size platform ~name in
+        let back_at = Time.add (Engine.now server_engine) s.placement in
+        Shard_engine.post s.se ~src:(i + 1) ~dst:0 ~at:back_at (fun _ ->
+            set_live s i (max 0 (s.live_view.(i) - 1));
+            s.busy_view.(i) <- max 0 (s.busy_view.(i) - vc);
+            (* no slot was freed; the pool proved dry, so cap the
+               mirror at the observed truth *)
+            let row =
+              pool_view_entry s.pool_view ~servers:(server_count t) name
+            in
+            row.(i) <- min row.(i) pool_now;
+            ignore (reject t ~reason:No_warm_capacity ~name);
+            apply_claims t (t.policy.Policy.on_rejection t.view ~server:i)));
+  Accepted i
+
+(* Direct placement: the server shares the router's engine, so the
+   trigger starts at once.  One dispatched at its arrival instant
+   completes into the server's shared sink, which reads the arrival
+   back from the record ([triggered_at] is that instant); a claimed
+   trigger (it arrived earlier) or one with a subscriber carries its
+   own closure. *)
+and dispatch_direct t ~name ~fn_id ~mode ~on_complete ~arrival i =
+  let platform = t.platforms.(i) in
+  let on_complete_slot =
+    match on_complete with
+    | None when Time.to_ns arrival = Time.to_ns (Engine.now t.engine) ->
+      t.direct_sinks.(i)
+    | None | Some _ ->
+      fun slot ->
+        log_push t ~server:i ~slot;
+        observe_e2e t ~arrival;
+        (match on_complete with
+        | None -> ()
+        | Some f -> f (i, Platform.record_of_slot platform slot));
+        apply_claims t (t.policy.Policy.on_completion t.view ~server:i)
+  in
+  match Platform.trigger_id platform ~fn_id ~mode ~on_complete_slot with
+  | () ->
+    t.trigger_counts.(i) <- t.trigger_counts.(i) + 1;
+    Accepted i
+  | exception Platform.No_warm_sandbox _ ->
+    (* a typed rejection, not an exception escaping the router: the
+       chosen server's pool (and, with degradation off, the whole
+       attempt) came up dry *)
+    let r = reject t ~reason:No_warm_capacity ~name in
+    apply_claims t (t.policy.Policy.on_rejection t.view ~server:i);
+    r
+
+and dispatch t ~name ~fn_id ~mode ~on_complete ~arrival i =
+  match t.backend with
+  | Sharded s -> dispatch_sharded t s ~name ~fn_id ~mode ~on_complete ~arrival i
+  | Direct -> dispatch_direct t ~name ~fn_id ~mode ~on_complete ~arrival i
+
+and direct_sink t i slot =
+  log_push t ~server:i ~slot;
+  observe_e2e t
+    ~arrival:
+      (Trigger_records.triggered_at
+         (Platform.trigger_records t.platforms.(i))
+         slot);
+  apply_claims t (t.policy.Policy.on_completion t.view ~server:i)
+
+and apply_claims t claimants =
+  push_claims t.claims claimants;
+  if not t.draining && not (Queue.is_empty t.claims) then begin
+    t.draining <- true;
+    Fun.protect
+      ~finally:(fun () -> t.draining <- false)
+      (fun () ->
+        while not (Queue.is_empty t.claims) do
+          let i = Queue.pop t.claims in
+          if not t.healthy.(i) then ()
+            (* a claim that raced a blackout: dropped (its token died
+               with the server's health transition) *)
+          else if Queue.is_empty t.pending then
+            t.policy.Policy.on_claim_unused ~server:i
+          else begin
+            let p = Queue.pop t.pending in
+            ignore
+              (dispatch t ~name:p.pt_name ~fn_id:p.pt_fn_id ~mode:p.pt_mode
+                 ~on_complete:p.pt_on_complete ~arrival:p.pt_arrival i)
+          end
+        done)
+  end
 
 let make ~servers ~policy ~e2e ~topology ~cost ~keep_alive ~seed
     ~faults ~recovery ~ull_count ~engine ~backend ~platform_engine =
@@ -484,6 +700,7 @@ let make ~servers ~policy ~e2e ~topology ~cost ~keep_alive ~seed
       policy = Policy.instantiate policy ~servers;
       view = dummy_view;
       view_name = "";
+      view_fn_id = 0;
       pending = Queue.create ();
       claims = Queue.create ();
       draining = false;
@@ -497,12 +714,15 @@ let make ~servers ~policy ~e2e ~topology ~cost ~keep_alive ~seed
       healthy_n = servers;
       trigger_counts = Array.make servers 0;
       srv_bits;
-      log = Array.make 64 0;
-      log_len = 0;
+      log = Int_rows.create ~width:1;
+      direct_sinks = [||];
       rejected = [];
     }
   in
   t.view <- make_view t;
+  (match backend with
+  | Direct -> t.direct_sinks <- Array.init servers (fun i -> direct_sink t i)
+  | Sharded _ -> ());
   t
 
 let create ?(servers = 4) ?policy ?(e2e = false)
@@ -551,202 +771,6 @@ let create_sharded ?(servers = 4) ?policy
     ~engine:(Shard_engine.engine se 0)
     ~backend
     ~platform_engine:(fun i -> Shard_engine.engine se (i + 1))
-
-let server t i =
-  if i < 0 || i >= server_count t then
-    invalid_arg "Cluster.server: index out of range";
-  t.platforms.(i)
-
-let policy_name t = t.policy.Policy.label
-
-let engine t = t.engine
-
-let shard_engine t =
-  match t.backend with Direct -> None | Sharded s -> Some s.se
-
-let shards t = match t.backend with Direct -> 1 | Sharded s -> s.exec_shards
-
-let metrics t = t.metrics
-
-let healthy t i =
-  if i < 0 || i >= server_count t then
-    invalid_arg "Cluster.healthy: index out of range";
-  t.healthy.(i)
-
-let healthy_count t = t.healthy_n
-
-let pending_count t = Queue.length t.pending
-
-let e2e_latencies t = t.e2e
-
-let log_push t ~server ~slot =
-  if t.log_len = Array.length t.log then begin
-    let w = Array.make (2 * t.log_len) 0 in
-    Array.blit t.log 0 w 0 t.log_len;
-    t.log <- w
-  end;
-  t.log.(t.log_len) <- (slot lsl t.srv_bits) lor server;
-  t.log_len <- t.log_len + 1
-
-(* All server registries intern the same functions in the same order
-   ([register] fans out to every server), so any server's ids stand
-   for the fleet; server 0 is the canonical lookup. *)
-let fn_id t ~name = Platform.fn_id t.platforms.(0) ~name
-
-let function_name t ~fn_id = Platform.function_name t.platforms.(0) ~fn_id
-
-let fn_vcpus t ~fn_id =
-  (Function_def.Registry.def (Platform.registry t.platforms.(0)) fn_id)
-    .Function_def.vcpus
-
-(* Keep the sharded live mirror and its argmin index in lockstep. *)
-let set_live s i v =
-  s.live_view.(i) <- v;
-  Load_index.set s.li i v
-
-let observe_e2e t ~arrival =
-  match t.e2e with
-  | None -> ()
-  | Some q ->
-    Stats.Quantile.add q
-      (float_of_int (Time.to_ns (Engine.now t.engine) - Time.to_ns arrival)
-      /. 1e3)
-
-let reject t ~reason ~name =
-  let rejection =
-    { reason; function_name = name; at = Engine.now t.engine }
-  in
-  t.rejected <- rejection :: t.rejected;
-  Metrics.incr t.metrics
-    (Printf.sprintf "cluster.rejections.%s" (reject_reason_name reason));
-  Rejected rejection
-
-(* Dispatching and claim resolution are mutually recursive: a
-   dispatched claim can reject synchronously (Direct mode), whose
-   [on_rejection] hook can emit further claims.  Claims therefore go
-   through an explicit queue drained by one non-reentrant loop —
-   bounded work per event, no recursion depth to worry about. *)
-
-(* Sharded placement: the router commits to server [i] and the trigger
-   crosses the placement delay as a message; the server's outcome
-   (completion notification or a dry pool) crosses back the same way.
-   All router-side state — the completion log, mirrors, rejection log
-   — mutates only on shard 0, in deterministic message-delivery order.
-   The completion carries the arena slot, not a boxed record: the
-   router logs one packed int and materializes a record only for an
-   explicit [on_complete] subscriber. *)
-let rec dispatch_sharded t s ~name ~fn_id ~mode ~on_complete ~arrival i =
-  t.trigger_counts.(i) <- t.trigger_counts.(i) + 1;
-  set_live s i (s.live_view.(i) + 1);
-  (match mode with
-  | Platform.Warm _ ->
-    let row = pool_view_entry s.pool_view ~servers:(server_count t) name in
-    if row.(i) > 0 then row.(i) <- row.(i) - 1
-  | Platform.Cold | Platform.Restore -> ());
-  let vc = fn_vcpus t ~fn_id in
-  s.busy_view.(i) <- s.busy_view.(i) + vc;
-  let platform = t.platforms.(i) in
-  let arrive = Time.add (Engine.now t.engine) s.placement in
-  Shard_engine.post s.se ~src:0 ~dst:(i + 1) ~at:arrive (fun server_engine ->
-      match
-        Platform.trigger_id platform ~fn_id ~mode
-          ~on_complete_slot:(fun slot ->
-            (* server side, completion time: capture the pool size the
-               sandbox just returned to, then notify the router *)
-            let pool_now = Platform.pool_size platform ~name in
-            let done_at = Time.add (Engine.now server_engine) s.placement in
-            Shard_engine.post s.se ~src:(i + 1) ~dst:0 ~at:done_at (fun _ ->
-                log_push t ~server:i ~slot;
-                set_live s i (max 0 (s.live_view.(i) - 1));
-                (* reconcile the pool mirror by conservation bounded
-                   by ground truth: this completion freed exactly one
-                   slot (already counted in [pool_now]), and a plain
-                   overwrite would erase the optimistic debits of
-                   dispatches still in flight, letting the router
-                   over-commit a nearly-dry pool *)
-                let row =
-                  pool_view_entry s.pool_view ~servers:(server_count t) name
-                in
-                row.(i) <- min (row.(i) + 1) pool_now;
-                s.busy_view.(i) <- max 0 (s.busy_view.(i) - vc);
-                observe_e2e t ~arrival;
-                (match on_complete with
-                | None -> ()
-                | Some f -> f (i, Platform.record_of_slot platform slot));
-                apply_claims t
-                  (t.policy.Policy.on_completion t.view ~server:i)))
-          ()
-      with
-      | () -> ()
-      | exception Platform.No_warm_sandbox _ ->
-        (* dry on arrival: the router learns one placement delay
-           later and records the typed rejection then *)
-        let pool_now = Platform.pool_size platform ~name in
-        let back_at = Time.add (Engine.now server_engine) s.placement in
-        Shard_engine.post s.se ~src:(i + 1) ~dst:0 ~at:back_at (fun _ ->
-            set_live s i (max 0 (s.live_view.(i) - 1));
-            s.busy_view.(i) <- max 0 (s.busy_view.(i) - vc);
-            (* no slot was freed; the pool proved dry, so cap the
-               mirror at the observed truth *)
-            let row =
-              pool_view_entry s.pool_view ~servers:(server_count t) name
-            in
-            row.(i) <- min row.(i) pool_now;
-            ignore (reject t ~reason:No_warm_capacity ~name);
-            apply_claims t (t.policy.Policy.on_rejection t.view ~server:i)));
-  Accepted i
-
-and dispatch_direct t ~name ~fn_id ~mode ~on_complete ~arrival i =
-  let platform = t.platforms.(i) in
-  match
-    Platform.trigger_id platform ~fn_id ~mode
-      ~on_complete_slot:(fun slot ->
-        log_push t ~server:i ~slot;
-        observe_e2e t ~arrival;
-        (match on_complete with
-        | None -> ()
-        | Some f -> f (i, Platform.record_of_slot platform slot));
-        apply_claims t (t.policy.Policy.on_completion t.view ~server:i))
-      ()
-  with
-  | () ->
-    t.trigger_counts.(i) <- t.trigger_counts.(i) + 1;
-    Accepted i
-  | exception Platform.No_warm_sandbox _ ->
-    (* a typed rejection, not an exception escaping the router: the
-       chosen server's pool (and, with degradation off, the whole
-       attempt) came up dry *)
-    let r = reject t ~reason:No_warm_capacity ~name in
-    apply_claims t (t.policy.Policy.on_rejection t.view ~server:i);
-    r
-
-and dispatch t ~name ~fn_id ~mode ~on_complete ~arrival i =
-  match t.backend with
-  | Sharded s -> dispatch_sharded t s ~name ~fn_id ~mode ~on_complete ~arrival i
-  | Direct -> dispatch_direct t ~name ~fn_id ~mode ~on_complete ~arrival i
-
-and apply_claims t claimants =
-  List.iter (fun i -> Queue.push i t.claims) claimants;
-  if not t.draining then begin
-    t.draining <- true;
-    Fun.protect
-      ~finally:(fun () -> t.draining <- false)
-      (fun () ->
-        while not (Queue.is_empty t.claims) do
-          let i = Queue.pop t.claims in
-          if not t.healthy.(i) then ()
-            (* a claim that raced a blackout: dropped (its token died
-               with the server's health transition) *)
-          else if Queue.is_empty t.pending then
-            t.policy.Policy.on_claim_unused ~server:i
-          else begin
-            let p = Queue.pop t.pending in
-            ignore
-              (dispatch t ~name:p.pt_name ~fn_id:p.pt_fn_id ~mode:p.pt_mode
-                 ~on_complete:p.pt_on_complete ~arrival:p.pt_arrival i)
-          end
-        done)
-  end
 
 let mark_down t i =
   if i < 0 || i >= server_count t then
@@ -827,6 +851,7 @@ let trigger_resolved t ~name ~fn_id ~mode ~on_complete =
   if t.healthy_n = 0 then reject t ~reason:All_servers_down ~name
   else begin
     t.view_name <- name;
+    t.view_fn_id <- fn_id;
     let needs_pool =
       match mode with
       | Platform.Warm _ -> true
@@ -970,20 +995,20 @@ let run ?until t =
     in
     Shard_engine.run ?until ~shards:s.exec_shards ?executor s.se
 
-let record_count t = t.log_len
+let record_count t = Int_rows.length t.log
 
 let iter_records t f =
   let mask = (1 lsl t.srv_bits) - 1 in
-  for k = 0 to t.log_len - 1 do
-    let packed = t.log.(k) in
+  for k = 0 to Int_rows.length t.log - 1 do
+    let packed = Int_rows.get t.log k 0 in
     f (packed land mask) (packed lsr t.srv_bits)
   done
 
 let fold_records t ~init ~f =
   let mask = (1 lsl t.srv_bits) - 1 in
   let acc = ref init in
-  for k = 0 to t.log_len - 1 do
-    let packed = t.log.(k) in
+  for k = 0 to Int_rows.length t.log - 1 do
+    let packed = Int_rows.get t.log k 0 in
     acc := f !acc (packed land mask) (packed lsr t.srv_bits)
   done;
   !acc

@@ -110,35 +110,40 @@ module Recovery = struct
       cold_timeout }
 end
 
-(* What a completion notifies.  [Sink_slot] hands over the arena slot
-   of the just-appended record — the zero-allocation path the cluster
-   rides; [Sink_record] materializes the boxed record only because a
-   caller asked for one. *)
-type sink =
-  | Sink_none
-  | Sink_record of (record -> unit)
-  | Sink_slot of (int -> unit)
+(* The live-invocation arena: one slot per in-flight invocation, its
+   fields in slot-indexed columns.  Launch takes a slot; completion,
+   exec crash and blackout give it back, so the arena grows to peak
+   concurrency, not run length.  Each slot owns one completion thunk,
+   built when the arena grows and reused by every invocation in the
+   slot and every preemption reschedule, so a trigger allocates no
+   per-invocation record or closure.  What a thunk does when it fires
+   depends on [doomed]: a healthy invocation completes, a doomed one
+   takes the exec-crash path — also after a preemption pushed it back.
 
-type invocation = {
-  id : int;
-  fn : Function_def.t;
-  fn_id : int;
-  inv_mode : start_mode;
-  sandbox : Sandbox.t;
-  started : Time.t;
-  inv_init : Time.span;
-  inv_exec : Time.span;
-  cpus : int list;
-  sink : sink;
-  mutable preempt_ns : int;
-  mutable finish_at : Time.t;
-  mutable completion : Engine.event_handle option;
-  (* what the scheduled event does when it fires — completion for a
-     healthy invocation, the exec-crash handler for a doomed one.
-     Preemption rescheduling goes through this so a pushed-back doomed
-     invocation still crashes instead of silently completing. *)
-  mutable resolve : unit -> unit;
+   [sink] is what the completion notifies, with the trigger-record
+   slot of the just-appended row: the cluster passes one sink per
+   server, built once; a [trigger ~on_complete] caller gets a closure
+   that boxes the row into a [record]. *)
+type invocations = {
+  mutable fn : int array;  (* fn id; -1 marks a free slot *)
+  mutable mode : int array;  (* code of the rung serving it *)
+  mutable orig_mode : int array;  (* code the trigger asked for *)
+  mutable attempt : int array;
+  mutable doomed : bool array;  (* an exec crash ends it *)
+  mutable sandbox : Sandbox.t array;
+  mutable started : int array;  (* the original trigger instant, ns *)
+  mutable init : int array;
+  mutable exec : int array;
+  mutable preempt : int array;
+  mutable finish : int array;  (* when its scheduled event fires, ns *)
+  mutable event : Engine.event_handle array;
+  mutable sink : (int -> unit) array;
+  mutable thunk : (Engine.t -> unit) array;
+  mutable free : int array;  (* stack of free slots, top at [free_n - 1] *)
+  mutable free_n : int;
 }
+
+let no_sink (_ : int) = ()
 
 type t = {
   engine : Engine.t;
@@ -157,8 +162,9 @@ type t = {
          indexes an array instead of hashing the function name *)
   dvfs : Horse_cpu.Dvfs.t;
   energy : Horse_cpu.Energy.t;
-  occupancy : (int, invocation) Hashtbl.t;  (* cpu -> invocation *)
-  live : (int, invocation) Hashtbl.t;
+  occupancy : int array;
+      (* cpu -> slot of the invocation last launched there, or -1 *)
+  inv : invocations;
   mutable busy_vcpus : int;  (* vCPUs held by live invocations *)
   arena : Trigger_records.t;  (* completed invocations, append order *)
   (* per-mode interned metric handles: the trigger and completion
@@ -168,7 +174,6 @@ type t = {
   triggers_c : int ref array;
   completions_c : int ref;
   mutable next_sandbox_id : int;
-  mutable next_invocation_id : int;
 }
 
 let create ?(topology = Topology.r650) ?(cost = Cost_model.firecracker)
@@ -193,8 +198,26 @@ let create ?(topology = Topology.r650) ?(cost = Cost_model.firecracker)
     keep_alive;
     pools = Hashtbl.create 16;
     pools_by_id = [||];
-    occupancy = Hashtbl.create 64;
-    live = Hashtbl.create 64;
+    occupancy = Array.make (Scheduler.cpu_count scheduler) (-1);
+    inv =
+      {
+        fn = [||];
+        mode = [||];
+        orig_mode = [||];
+        attempt = [||];
+        doomed = [||];
+        sandbox = [||];
+        started = [||];
+        init = [||];
+        exec = [||];
+        preempt = [||];
+        finish = [||];
+        event = [||];
+        sink = [||];
+        thunk = [||];
+        free = [||];
+        free_n = 0;
+      };
     busy_vcpus = 0;
     arena = Trigger_records.create ();
     latency_d =
@@ -211,7 +234,6 @@ let create ?(topology = Topology.r650) ?(cost = Cost_model.firecracker)
             ("platform.triggers." ^ mode_name (mode_of_code i)));
     completions_c = Metrics.counter_ref metrics "platform.completions";
     next_sandbox_id = 0;
-    next_invocation_id = 0;
   }
 
 let engine t = t.engine
@@ -272,6 +294,10 @@ let pool t name =
 
 let pool_size t ~name = Queue.length (pool t name)
 
+let pool_size_id t ~fn_id =
+  ignore (Function_def.Registry.def t.registry fn_id);
+  Queue.length t.pools_by_id.(fn_id)
+
 let new_sandbox t fn =
   let id = t.next_sandbox_id in
   t.next_sandbox_id <- id + 1;
@@ -311,17 +337,17 @@ let reclaim t ~name ~count =
 
 let rec pop_pool t fn_id =
   let p = t.pools_by_id.(fn_id) in
-  match Queue.take_opt p with
-  | None -> raise (No_warm_sandbox (Function_def.Registry.name t.registry fn_id))
-  | Some sb ->
-    (* a stale entry (expired under us) is discarded and the next one
-       tried; an empty pool after discards degrades like a dry pool *)
-    if Fault.Plan.fires (Vmm.faults t.vmm) Fault.Pool_expiry then begin
-      Vmm.stop t.vmm sb;
-      Metrics.incr t.metrics "platform.expired_pool_entries";
-      pop_pool t fn_id
-    end
-    else sb
+  if Queue.is_empty p then
+    raise (No_warm_sandbox (Function_def.Registry.name t.registry fn_id));
+  let sb = Queue.take p in
+  (* a stale entry (expired under us) is discarded and the next one
+     tried; an empty pool after discards degrades like a dry pool *)
+  if Fault.Plan.fires (Vmm.faults t.vmm) Fault.Pool_expiry then begin
+    Vmm.stop t.vmm sb;
+    Metrics.incr t.metrics "platform.expired_pool_entries";
+    pop_pool t fn_id
+  end
+  else sb
 
 let push_pool t fn_id sb = Queue.push sb t.pools_by_id.(fn_id)
 
@@ -348,26 +374,24 @@ let preemption_penalty t ~resumed_vcpus =
           +. (float_of_int resumed_vcpus
              *. c.Cost_model.preempt_cache_refill_per_vcpu_ns))))
 
-let apply_preemptions t ~resumed_vcpus cpus =
-  List.iter
-    (fun cpu ->
-      match Hashtbl.find_opt t.occupancy cpu with
-      | None -> ()
-      | Some inv -> (
-        match inv.completion with
-        | None -> ()
-        | Some handle ->
-          let penalty = preemption_penalty t ~resumed_vcpus in
-          if Engine.cancel t.engine handle then begin
-            inv.preempt_ns <- inv.preempt_ns + Time.span_to_ns penalty;
-            inv.finish_at <- Time.add inv.finish_at penalty;
-            Metrics.incr t.metrics "platform.preemptions";
-            inv.completion <-
-              Some
-                (Engine.schedule_at t.engine ~at:inv.finish_at (fun _ ->
-                     inv.resolve ()))
-          end))
-    cpus
+let rec apply_preemptions t ~resumed_vcpus = function
+  | [] -> ()
+  | cpu :: rest ->
+    let s = t.occupancy.(cpu) in
+    if s >= 0 then begin
+      let inv = t.inv in
+      let penalty = preemption_penalty t ~resumed_vcpus in
+      if Engine.cancel t.engine inv.event.(s) then begin
+        let ns = Time.span_to_ns penalty in
+        inv.preempt.(s) <- inv.preempt.(s) + ns;
+        inv.finish.(s) <- inv.finish.(s) + ns;
+        Metrics.incr t.metrics "platform.preemptions";
+        inv.event.(s) <-
+          Engine.schedule_at t.engine ~at:(Time.of_ns inv.finish.(s))
+            inv.thunk.(s)
+      end
+    end;
+    apply_preemptions t ~resumed_vcpus rest
 
 let schedule_expiry t fn_id sb =
   ignore
@@ -378,8 +402,9 @@ let schedule_expiry t fn_id sb =
            Metrics.incr t.metrics "platform.keepalive_expiries"
          end))
 
-(* Materialize the boxed record for one arena slot — only readers
-   that ask for a boxed row and [Sink_record] callers pay for this. *)
+(* Materialize the boxed record for one trigger-record slot — readers
+   that ask for a boxed row and [trigger ~on_complete] callers pay for
+   this. *)
 let record_of_slot t i =
   let a = t.arena in
   {
@@ -393,29 +418,51 @@ let record_of_slot t i =
     completed_at = Trigger_records.completed_at a i;
   }
 
-let complete t inv =
-  (* account the execution's energy at each CPU's current frequency *)
-  List.iter
-    (fun cpu ->
-      Horse_cpu.Energy.account t.energy ~cpu
-        ~freq_mhz:(Horse_cpu.Dvfs.frequency_mhz t.dvfs ~cpu)
-        inv.inv_exec)
-    inv.cpus;
-  List.iter (fun cpu -> Hashtbl.remove t.occupancy cpu) inv.cpus;
-  Hashtbl.remove t.live inv.id;
-  t.busy_vcpus <- t.busy_vcpus - List.length inv.cpus;
-  let code = mode_code inv.inv_mode in
+(* Vacate the CPUs of [placements] (the invocation's own, read before
+   its sandbox is paused or crashed). *)
+let rec vacate t = function
+  | [] -> ()
+  | { Sandbox.queue; _ } :: rest ->
+    t.occupancy.(Runqueue.cpu queue) <- -1;
+    t.busy_vcpus <- t.busy_vcpus - 1;
+    vacate t rest
+
+(* End the invocation in slot [s]: free its CPUs and the slot. *)
+let release t s =
+  let inv = t.inv in
+  vacate t (Sandbox.placements inv.sandbox.(s));
+  inv.fn.(s) <- -1;
+  inv.sink.(s) <- no_sink;
+  inv.free.(inv.free_n) <- s;
+  inv.free_n <- inv.free_n + 1
+
+(* account the execution's energy at each CPU's current frequency *)
+let rec account_energy t exec = function
+  | [] -> ()
+  | { Sandbox.queue; _ } :: rest ->
+    let cpu = Runqueue.cpu queue in
+    Horse_cpu.Energy.account t.energy ~cpu
+      ~freq_mhz:(Horse_cpu.Dvfs.frequency_mhz t.dvfs ~cpu)
+      exec;
+    account_energy t exec rest
+
+let complete t s =
+  let inv = t.inv in
+  let fn_id = inv.fn.(s) and code = inv.mode.(s) in
+  let sandbox = inv.sandbox.(s) and sink = inv.sink.(s) in
+  let started = inv.started.(s) and init_ns = inv.init.(s) in
+  let exec_ns = inv.exec.(s) and preempt_ns = inv.preempt.(s) in
+  account_energy t (Time.span_ns exec_ns) (Sandbox.placements sandbox);
+  release t s;
   let handle =
-    Trigger_records.append t.arena ~fn_id:inv.fn_id ~mode:code
-      ~triggered_at:inv.started ~init:inv.inv_init ~exec:inv.inv_exec
-      ~preemption:(Time.span_ns inv.preempt_ns)
+    Trigger_records.append t.arena ~fn_id ~mode:code
+      ~triggered_at:(Time.of_ns started) ~init:(Time.span_ns init_ns)
+      ~exec:(Time.span_ns exec_ns) ~preemption:(Time.span_ns preempt_ns)
       ~completed_at:(Engine.now t.engine)
   in
   t.completions_c := !(t.completions_c) + 1;
   Metrics.observe_dist t.latency_d.(code)
-    (float_of_int
-       (Time.span_to_ns inv.inv_init + Time.span_to_ns inv.inv_exec
-      + inv.preempt_ns));
+    (float_of_int (init_ns + exec_ns + preempt_ns));
   (* the init distribution is observed here, not at launch: a doomed
      attempt (exec crash, later retried or aborted) must not leak a
      phantom observation that under-reports the burned-rung and
@@ -423,28 +470,24 @@ let complete t inv =
      [init].  Observing at completion keeps the stream in lock-step
      with the arena — dist count = record count — so a Quantile
      observer that looks mid-ladder sees only fully-charged values. *)
-  Metrics.observe_dist t.init_d.(code)
-    (float_of_int (Time.span_to_ns inv.inv_init));
+  Metrics.observe_dist t.init_d.(code) (float_of_int init_ns);
   (* post-execution policy: warm sandboxes go back to their pool, cold
      ones idle under keep-alive before being reclaimed.  A crash during
      the re-pause loses the sandbox (it is never pooled) but not the
      completed invocation — the arena row above already stands. *)
-  (match inv.inv_mode with
+  (match mode_of_code code with
   | Warm strategy -> (
     try
-      ignore (Vmm.pause t.vmm ~strategy inv.sandbox);
-      push_pool t inv.fn_id inv.sandbox
+      ignore (Vmm.pause t.vmm ~strategy sandbox);
+      push_pool t fn_id sandbox
     with Fault.Injected _ -> Metrics.incr t.metrics "platform.pool_losses")
   | Cold | Restore -> (
     try
-      ignore (Vmm.pause t.vmm ~strategy:Sandbox.Vanilla inv.sandbox);
-      push_pool t inv.fn_id inv.sandbox;
-      schedule_expiry t inv.fn_id inv.sandbox
+      ignore (Vmm.pause t.vmm ~strategy:Sandbox.Vanilla sandbox);
+      push_pool t fn_id sandbox;
+      schedule_expiry t fn_id sandbox
     with Fault.Injected _ -> Metrics.incr t.metrics "platform.pool_losses"));
-  match inv.sink with
-  | Sink_none -> ()
-  | Sink_slot f -> f (Trigger_records.slot t.arena handle)
-  | Sink_record f -> f (record_of_slot t (Trigger_records.slot t.arena handle))
+  sink (Trigger_records.slot t.arena handle)
 
 let downgrade = function
   | Warm _ -> Some Restore
@@ -459,165 +502,202 @@ let timeout_for (recovery : Recovery.t) = function
 (* One rung of the fallback ladder: try to bring a sandbox up under
    [mode]; on an injected fault, a dry pool or a watchdog timeout
    (with [degrade] on) charge the burned virtual time into
-   [penalty_ns] and descend Warm → Restore → Cold.  The bottom rung
+   [penalty_ns] and [descend] Warm → Restore → Cold.  The bottom rung
    never descends, so the ladder always terminates.  [attempt] and
    [orig_mode] belong to the async retry loop: an exec-time crash
    re-enters here from the top of the ladder after a backoff. *)
-let rec start_attempt t ~fn ~fn_id ~orig_mode ~mode ~sink ~attempt
-    ~triggered_at ~penalty_ns =
-  let recovery = t.recovery in
-  let descend ~to_ ~burned_ns =
-    Metrics.incr t.metrics
-      (Printf.sprintf "platform.fallbacks.%s-to-%s" (mode_name mode)
-         (mode_name to_));
-    start_attempt t ~fn ~fn_id ~orig_mode ~mode:to_ ~sink ~attempt
-      ~triggered_at
-      ~penalty_ns:(penalty_ns + burned_ns)
-  in
-  match
-    match mode with
-    | Cold ->
-      let sb = new_sandbox t fn in
-      let boot = Vmm.boot t.vmm sb in
-      ( sb,
-        Time.add_span boot (Vmm.dispatch_overhead t.vmm ~strategy:Sandbox.Vanilla),
-        [] )
-    | Restore ->
-      let sb = new_sandbox t fn in
-      let restore = Vmm.restore t.vmm sb in
-      ( sb,
-        Time.add_span restore
-          (Vmm.dispatch_overhead t.vmm ~strategy:Sandbox.Vanilla),
-        [] )
-    | Warm strategy ->
-      let sb = pop_pool t fn_id in
+let rec start_attempt t ~fn_id ~orig_mode ~mode ~sink ~attempt ~triggered_at
+    ~penalty_ns =
+  let degrade = t.recovery.Recovery.degrade in
+  match mode with
+  | Cold ->
+    let sb = new_sandbox t (Function_def.Registry.def t.registry fn_id) in
+    let boot = Vmm.boot t.vmm sb in
+    ready t ~fn_id ~orig_mode ~mode ~sink ~attempt ~triggered_at ~penalty_ns
+      ~sandbox:sb
+      ~init:
+        (Time.add_span boot
+           (Vmm.dispatch_overhead t.vmm ~strategy:Sandbox.Vanilla))
+      ~preempted_cpus:[]
+  | Restore -> (
+    let sb = new_sandbox t (Function_def.Registry.def t.registry fn_id) in
+    match Vmm.restore t.vmm sb with
+    | exception Fault.Injected { cost; _ } when degrade ->
+      descend t ~fn_id ~orig_mode ~mode ~to_:Cold ~sink ~attempt
+        ~triggered_at ~penalty_ns ~burned_ns:(Time.span_to_ns cost)
+    | restore ->
+      ready t ~fn_id ~orig_mode ~mode ~sink ~attempt ~triggered_at
+        ~penalty_ns ~sandbox:sb
+        ~init:
+          (Time.add_span restore
+             (Vmm.dispatch_overhead t.vmm ~strategy:Sandbox.Vanilla))
+        ~preempted_cpus:[])
+  | Warm strategy -> (
+    match pop_pool t fn_id with
+    | exception No_warm_sandbox _ when degrade ->
+      descend t ~fn_id ~orig_mode ~mode ~to_:Restore ~sink ~attempt
+        ~triggered_at ~penalty_ns ~burned_ns:0
+    | sb -> (
       (* the resume runs under the strategy recorded at pause time;
          dispatch must match it (a vanilla-paused sandbox cannot take
          the HORSE fast path even if the trigger asked for it) *)
       let recorded =
-        Option.value ~default:strategy (Sandbox.pause_strategy sb)
+        match Sandbox.pause_strategy sb with Some r -> r | None -> strategy
       in
-      let result = Vmm.resume t.vmm sb in
-      ( sb,
-        Time.add_span result.Vmm.total
-          (Vmm.dispatch_overhead t.vmm ~strategy:recorded),
-        result.Vmm.preempted_cpus )
-  with
-  | exception Fault.Injected { cost; _ }
-    when recovery.Recovery.degrade && downgrade mode <> None ->
-    descend
-      ~to_:(Option.get (downgrade mode))
-      ~burned_ns:(Time.span_to_ns cost)
-  | exception No_warm_sandbox _ when recovery.Recovery.degrade ->
-    descend ~to_:Restore ~burned_ns:0
-  | sandbox, init, preempted_cpus -> (
-    match timeout_for recovery mode with
-    | Some limit when Time.span_to_ns init > Time.span_to_ns limit -> (
-      Metrics.incr t.metrics
-        (Printf.sprintf "platform.timeouts.%s" (mode_name mode));
-      match downgrade mode with
-      | Some next when recovery.Recovery.degrade ->
-        (* the watchdog killed the attempt at [limit]; the slow start
-           itself is abandoned, only the watchdog window is charged *)
-        Vmm.stop t.vmm sandbox;
-        descend ~to_:next ~burned_ns:(Time.span_to_ns limit)
-      | Some _ | None ->
-        (* bottom rung (or degradation off): counted, but accepted *)
-        launch t ~fn ~fn_id ~orig_mode ~mode ~sink ~attempt
-          ~triggered_at ~penalty_ns ~sandbox ~init ~preempted_cpus)
-    | Some _ | None ->
-      launch t ~fn ~fn_id ~orig_mode ~mode ~sink ~attempt ~triggered_at
-        ~penalty_ns ~sandbox ~init ~preempted_cpus)
+      match Vmm.resume t.vmm sb with
+      | exception Fault.Injected { cost; _ } when degrade ->
+        descend t ~fn_id ~orig_mode ~mode ~to_:Restore ~sink ~attempt
+          ~triggered_at ~penalty_ns ~burned_ns:(Time.span_to_ns cost)
+      | result ->
+        ready t ~fn_id ~orig_mode ~mode ~sink ~attempt ~triggered_at
+          ~penalty_ns ~sandbox:sb
+          ~init:
+            (Time.add_span result.Vmm.total
+               (Vmm.dispatch_overhead t.vmm ~strategy:recorded))
+          ~preempted_cpus:result.Vmm.preempted_cpus))
 
-and launch t ~fn ~fn_id ~orig_mode ~mode ~sink ~attempt ~triggered_at
-    ~penalty_ns ~sandbox ~init ~preempted_cpus =
+and descend t ~fn_id ~orig_mode ~mode ~to_ ~sink ~attempt ~triggered_at
+    ~penalty_ns ~burned_ns =
+  Metrics.incr t.metrics
+    (Printf.sprintf "platform.fallbacks.%s-to-%s" (mode_name mode)
+       (mode_name to_));
+  start_attempt t ~fn_id ~orig_mode ~mode:to_ ~sink ~attempt ~triggered_at
+    ~penalty_ns:(penalty_ns + burned_ns)
+
+(* The sandbox is up: the rung's watchdog has the last word. *)
+and ready t ~fn_id ~orig_mode ~mode ~sink ~attempt ~triggered_at ~penalty_ns
+    ~sandbox ~init ~preempted_cpus =
+  match timeout_for t.recovery mode with
+  | Some limit when Time.span_to_ns init > Time.span_to_ns limit -> (
+    Metrics.incr t.metrics
+      (Printf.sprintf "platform.timeouts.%s" (mode_name mode));
+    match downgrade mode with
+    | Some next when t.recovery.Recovery.degrade ->
+      (* the watchdog killed the attempt at [limit]; the slow start
+         itself is abandoned, only the watchdog window is charged *)
+      Vmm.stop t.vmm sandbox;
+      descend t ~fn_id ~orig_mode ~mode ~to_:next ~sink ~attempt
+        ~triggered_at ~penalty_ns ~burned_ns:(Time.span_to_ns limit)
+    | Some _ | None ->
+      (* bottom rung (or degradation off): counted, but accepted *)
+      launch t ~fn_id ~orig_mode ~mode ~sink ~attempt ~triggered_at
+        ~penalty_ns ~sandbox ~init ~preempted_cpus)
+  | Some _ | None ->
+    launch t ~fn_id ~orig_mode ~mode ~sink ~attempt ~triggered_at ~penalty_ns
+      ~sandbox ~init ~preempted_cpus
+
+(* Double the arena (8 slots at first).  [fill] seeds the new sandbox
+   cells; each new slot gets its thunk here, once for its life. *)
+and grow_arena t ~fill =
+  let inv = t.inv in
+  let cap = Array.length inv.fn in
+  let cap' = max 8 (2 * cap) in
+  let widen col v =
+    let w = Array.make cap' v in
+    Array.blit col 0 w 0 cap;
+    w
+  in
+  inv.fn <- widen inv.fn (-1);
+  inv.mode <- widen inv.mode 0;
+  inv.orig_mode <- widen inv.orig_mode 0;
+  inv.attempt <- widen inv.attempt 0;
+  inv.doomed <- widen inv.doomed false;
+  inv.sandbox <- widen inv.sandbox fill;
+  inv.started <- widen inv.started 0;
+  inv.init <- widen inv.init 0;
+  inv.exec <- widen inv.exec 0;
+  inv.preempt <- widen inv.preempt 0;
+  inv.finish <- widen inv.finish 0;
+  inv.event <- widen inv.event Engine.null_handle;
+  inv.sink <- widen inv.sink no_sink;
+  inv.thunk <- widen inv.thunk ignore;
+  for s = cap to cap' - 1 do
+    inv.thunk.(s) <- (fun _ -> resolve t s)
+  done;
+  (* growth only happens with every slot taken, so the free stack is
+     just the new slots, lowest on top *)
+  inv.free <-
+    Array.init cap' (fun k -> if k < cap' - cap then cap' - 1 - k else 0);
+  inv.free_n <- cap' - cap
+
+and launch t ~fn_id ~orig_mode ~mode ~sink ~attempt ~triggered_at ~penalty_ns
+    ~sandbox ~init ~preempted_cpus =
   let now = Engine.now t.engine in
   apply_preemptions t ~resumed_vcpus:(Sandbox.vcpu_count sandbox)
     preempted_cpus;
-  let exec = Function_def.sample_exec fn t.rng in
-  let cpus =
-    List.map
-      (fun { Sandbox.queue; _ } -> Runqueue.cpu queue)
-      (Sandbox.placements sandbox)
-  in
-  let id = t.next_invocation_id in
-  t.next_invocation_id <- id + 1;
+  let fn = Function_def.Registry.def t.registry fn_id in
+  let exec_ns = Time.span_to_ns (Function_def.sample_exec fn t.rng) in
   (* honest latency accounting: init covers everything since the
      original trigger — async retry waits (elapsed virtual time),
      failed-rung costs ([penalty_ns]) and the successful rung itself *)
   let wait_ns = Time.span_to_ns (Time.diff now triggered_at) in
-  let inv_init = Time.span_ns (wait_ns + penalty_ns + Time.span_to_ns init) in
-  let finish_at = Time.add triggered_at (Time.add_span inv_init exec) in
-  let inv =
-    {
-      id;
-      fn;
-      fn_id;
-      inv_mode = mode;
-      sandbox;
-      started = triggered_at;
-      inv_init;
-      inv_exec = exec;
-      cpus;
-      sink;
-      preempt_ns = 0;
-      finish_at;
-      completion = None;
-      resolve = (fun () -> ());
-    }
-  in
-  Hashtbl.replace t.live id inv;
-  t.busy_vcpus <- t.busy_vcpus + List.length cpus;
-  (* the step-5 load variable drives frequency scaling: refresh the
-     governor of each CPU this invocation occupies from its run
-     queue's tracked load *)
-  List.iter
-    (fun { Sandbox.queue; _ } ->
-      Horse_cpu.Dvfs.note_utilisation t.dvfs ~cpu:(Runqueue.cpu queue)
-        (Horse_sched.Load_tracking.utilisation (Runqueue.load queue)))
-    (Sandbox.placements sandbox);
-  List.iter (fun cpu -> Hashtbl.replace t.occupancy cpu inv) cpus;
+  let init_ns = wait_ns + penalty_ns + Time.span_to_ns init in
+  let inv = t.inv in
+  if inv.free_n = 0 then grow_arena t ~fill:sandbox;
+  inv.free_n <- inv.free_n - 1;
+  let s = inv.free.(inv.free_n) in
+  let code = mode_code mode in
+  inv.fn.(s) <- fn_id;
+  inv.mode.(s) <- code;
+  inv.orig_mode.(s) <- mode_code orig_mode;
+  inv.attempt.(s) <- attempt;
+  inv.sandbox.(s) <- sandbox;
+  inv.started.(s) <- Time.to_ns triggered_at;
+  inv.init.(s) <- init_ns;
+  inv.exec.(s) <- exec_ns;
+  inv.preempt.(s) <- 0;
+  inv.sink.(s) <- sink;
+  occupy t s (Sandbox.placements sandbox);
+  (* doomed: the sandbox dies part-way through execution.  The crash
+     instant is drawn now (deterministically); the handler decides
+     between a backed-off retry and an abort when it fires. *)
   let faults = Vmm.faults t.vmm in
-  if Fault.Plan.fires faults Fault.Exec_crash then begin
-    (* doomed: the sandbox dies part-way through execution.  The crash
-       instant is drawn now (deterministically); the handler decides
-       between a backed-off retry and an abort when it fires. *)
-    let frac = Fault.Plan.fraction faults Fault.Exec_crash in
-    let crash_after =
-      Time.span_ns (int_of_float (frac *. float_of_int (Time.span_to_ns exec)))
-    in
-    inv.finish_at <- Time.add triggered_at (Time.add_span inv_init crash_after);
-    inv.resolve <- (fun () -> exec_crash t inv ~orig_mode ~attempt);
-    inv.completion <-
-      Some
-        (Engine.schedule_at t.engine ~at:inv.finish_at (fun _ ->
-             inv.resolve ()))
-  end
-  else begin
-    inv.resolve <- (fun () -> complete t inv);
-    inv.completion <-
-      Some
-        (Engine.schedule_at t.engine ~at:finish_at (fun _ -> inv.resolve ()))
-  end;
+  let doomed = Fault.Plan.fires faults Fault.Exec_crash in
+  let run_ns =
+    if doomed then
+      int_of_float
+        (Fault.Plan.fraction faults Fault.Exec_crash *. float_of_int exec_ns)
+    else exec_ns
+  in
+  inv.doomed.(s) <- doomed;
+  inv.finish.(s) <- Time.to_ns triggered_at + init_ns + run_ns;
+  inv.event.(s) <-
+    Engine.schedule_at t.engine ~at:(Time.of_ns inv.finish.(s)) inv.thunk.(s);
   if Horse_sim.Logging.debug_on log_src then
     Log.debug (fun m ->
         m "trigger %s mode=%s init=%dns exec=%dns" fn.Function_def.name
-          (mode_name mode)
-          (Time.span_to_ns inv_init) (Time.span_to_ns exec));
+          (mode_name mode) init_ns exec_ns);
   (* hoisted per-mode handles: no sprintf, no series-name hashing on
      the per-trigger path.  The init distribution is NOT observed here
      — only [complete] feeds it, so doomed attempts never publish a
      partial init that mid-ladder observers would mistake for a final
      one (see [complete]). *)
-  let code = mode_code mode in
   let c = t.triggers_c.(code) in
   c := !c + 1
 
-and exec_crash t inv ~orig_mode ~attempt =
-  List.iter (fun cpu -> Hashtbl.remove t.occupancy cpu) inv.cpus;
-  Hashtbl.remove t.live inv.id;
-  t.busy_vcpus <- t.busy_vcpus - List.length inv.cpus;
-  Vmm.crash t.vmm inv.sandbox;
+(* Claim the CPUs of a launching invocation.  The step-5 load variable
+   drives frequency scaling: each CPU's governor is refreshed from its
+   run queue's tracked load. *)
+and occupy t s = function
+  | [] -> ()
+  | { Sandbox.queue; _ } :: rest ->
+    let cpu = Runqueue.cpu queue in
+    Horse_cpu.Dvfs.note_utilisation t.dvfs ~cpu
+      (Horse_sched.Load_tracking.utilisation (Runqueue.load queue));
+    t.occupancy.(cpu) <- s;
+    t.busy_vcpus <- t.busy_vcpus + 1;
+    occupy t s rest
+
+and resolve t s = if t.inv.doomed.(s) then exec_crash t s else complete t s
+
+and exec_crash t s =
+  let inv = t.inv in
+  let fn_id = inv.fn.(s) and sandbox = inv.sandbox.(s) in
+  let sink = inv.sink.(s) and attempt = inv.attempt.(s) in
+  let orig_mode = mode_of_code inv.orig_mode.(s) in
+  let triggered_at = Time.of_ns inv.started.(s) in
+  release t s;
+  Vmm.crash t.vmm sandbox;
   Metrics.incr t.metrics "platform.exec_crashes";
   let recovery = t.recovery in
   if attempt < recovery.Recovery.max_attempts then begin
@@ -628,9 +708,8 @@ and exec_crash t inv ~orig_mode ~attempt =
     ignore
       (Engine.schedule t.engine ~after:(Time.span_ns delay_ns) (fun _ ->
            match
-             start_attempt t ~fn:inv.fn ~fn_id:inv.fn_id ~orig_mode
-               ~mode:orig_mode ~sink:inv.sink ~attempt:(attempt + 1)
-               ~triggered_at:inv.started ~penalty_ns:0
+             start_attempt t ~fn_id ~orig_mode ~mode:orig_mode ~sink
+               ~attempt:(attempt + 1) ~triggered_at ~penalty_ns:0
            with
            | () -> ()
            | exception (No_warm_sandbox _ | Fault.Injected _) ->
@@ -638,27 +717,25 @@ and exec_crash t inv ~orig_mode ~attempt =
   end
   else Metrics.incr t.metrics "platform.aborts"
 
-let trigger_sink t ~fn ~fn_id ~mode ~sink =
-  start_attempt t ~fn ~fn_id ~orig_mode:mode ~mode ~sink ~attempt:1
+let trigger_sink t ~fn_id ~mode ~sink =
+  start_attempt t ~fn_id ~orig_mode:mode ~mode ~sink ~attempt:1
     ~triggered_at:(Engine.now t.engine) ~penalty_ns:0
 
 let trigger t ~name ~mode ?on_complete () =
-  let fn, fn_id = find_function t name in
+  let _, fn_id = find_function t name in
   let sink =
-    match on_complete with None -> Sink_none | Some f -> Sink_record f
+    match on_complete with
+    | None -> no_sink
+    | Some f -> fun slot -> f (record_of_slot t slot)
   in
-  trigger_sink t ~fn ~fn_id ~mode ~sink
+  trigger_sink t ~fn_id ~mode ~sink
 
 (* The allocation-free entry point: function pre-resolved to its dense
-   id, completion notified (if at all) by arena slot rather than a
-   boxed record.  The cluster's batch path and the storm bench ride
-   this. *)
-let trigger_id t ~fn_id ~mode ?on_complete_slot () =
-  let fn = Function_def.Registry.def t.registry fn_id in
-  let sink =
-    match on_complete_slot with None -> Sink_none | Some f -> Sink_slot f
-  in
-  trigger_sink t ~fn ~fn_id ~mode ~sink
+   id, completion notified by trigger-record slot rather than a boxed
+   record.  The cluster rides this with one sink per server. *)
+let trigger_id t ~fn_id ~mode ~on_complete_slot =
+  ignore (Function_def.Registry.def t.registry fn_id);
+  trigger_sink t ~fn_id ~mode ~sink:on_complete_slot
 
 (* A whole-server outage: every in-flight invocation is lost (its
    completion event cancelled, its sandbox crashed) and every warm
@@ -667,18 +744,17 @@ let trigger_id t ~fn_id ~mode ?on_complete_slot () =
    Recovery is the cluster's business — it re-routes around the dead
    server and marks it healthy again later. *)
 let blackout t =
+  let inv = t.inv in
   let lost = ref 0 in
-  Hashtbl.iter
-    (fun _ inv ->
-      (match inv.completion with
-      | Some handle -> ignore (Engine.cancel t.engine handle)
-      | None -> ());
-      List.iter (fun cpu -> Hashtbl.remove t.occupancy cpu) inv.cpus;
-      Vmm.crash t.vmm inv.sandbox;
-      incr lost)
-    t.live;
-  Hashtbl.reset t.live;
-  t.busy_vcpus <- 0;
+  for s = 0 to Array.length inv.fn - 1 do
+    if inv.fn.(s) >= 0 then begin
+      ignore (Engine.cancel t.engine inv.event.(s));
+      let sandbox = inv.sandbox.(s) in
+      release t s;
+      Vmm.crash t.vmm sandbox;
+      incr lost
+    end
+  done;
   let pooled = ref 0 in
   Hashtbl.iter
     (fun _ p ->
@@ -702,6 +778,8 @@ let iter_records t f = Trigger_records.iter t.arena f
 
 let fold_records t ~init ~f = Trigger_records.fold t.arena ~init ~f
 
-let live_invocations t = Hashtbl.length t.live
+let live_invocations t = Array.length t.inv.fn - t.inv.free_n
+
+let invocation_slots t = Array.length t.inv.fn
 
 let busy_vcpus t = t.busy_vcpus

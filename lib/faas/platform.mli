@@ -209,19 +209,19 @@ val trigger :
     (only with {!Recovery.t.degrade} off) *)
 
 val trigger_id :
-  t ->
-  fn_id:int ->
-  mode:start_mode ->
-  ?on_complete_slot:(int -> unit) ->
-  unit ->
-  unit
+  t -> fn_id:int -> mode:start_mode -> on_complete_slot:(int -> unit) -> unit
 (** {!trigger} by pre-resolved dense id — the allocation-free entry
-    point.  No string lookup; completion (if observed at all) is
-    notified with the arena {e slot index} of the appended row rather
-    than a boxed {!record}, so callers that only aggregate (the
-    cluster, the storm bench) read columns in place via
-    {!trigger_records}.  Semantics are otherwise identical to
-    {!trigger}, fault ladder included.
+    point.  No string lookup; completion is notified with the
+    {!trigger_records} {e slot index} of the appended row rather than
+    a boxed {!record}, so callers that only aggregate (the cluster)
+    read columns in place.  A caller that passes the same closure to
+    every trigger (the cluster's per-server sink) allocates nothing
+    per trigger on the warm path.  Semantics are otherwise identical
+    to {!trigger}, fault ladder included.
+    @raise Invalid_argument on an unknown id. *)
+
+val pool_size_id : t -> fn_id:int -> int
+(** {!pool_size} by dense id: an array read, no name hashing.
     @raise Invalid_argument on an unknown id. *)
 
 val blackout : t -> int
@@ -250,6 +250,12 @@ val iter_records : t -> (int -> unit) -> unit
 val fold_records : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 
 val live_invocations : t -> int
+
+val invocation_slots : t -> int
+(** Capacity of the live-invocation arena.  Completion, exec crash and
+    {!blackout} give slots back for reuse, so this tracks peak
+    concurrency (rounded up to a power of two, at least 8 once any
+    trigger launched), not the number of triggers. *)
 
 val busy_vcpus : t -> int
 (** vCPUs currently held by live invocations — the server-local,

@@ -1,28 +1,34 @@
 module Time = Horse_sim.Time_ns
 
-(* Struct-of-arrays store for completed-invocation records: seven
-   parallel int columns (virtual time is integer nanoseconds, function
-   names are interned ids, start modes are dense codes), grown by
-   doubling and addressed by slot.  Appending writes seven ints —
-   nothing is boxed, so a 100M-trigger run costs 7 words/record flat
-   instead of a cons + record + string per trigger.
+(* Store for completed-invocation records: seven int fields per row
+   (virtual time is integer nanoseconds, function names are interned
+   ids, start modes are dense codes) in {!Int_rows} chunks, addressed
+   by slot.  Appending writes seven ints — nothing is boxed, so a
+   100M-trigger run costs 7 words/record flat instead of a cons +
+   record + string per trigger, and growing never copies a full chunk.
 
    Handles pack (generation, slot) into one immediate int, like the
    event-queue and run-queue arenas: [clear] bumps the generation, so
    a handle kept across a reset raises instead of silently reading a
    recycled slot. *)
 
-type t = {
-  mutable fn_id : int array;
-  mutable mode : int array;  (* dense start-mode code, owner-defined *)
-  mutable triggered_at : int array;
-  mutable init : int array;
-  mutable exec : int array;
-  mutable preemption : int array;
-  mutable completed_at : int array;
-  mutable len : int;
-  mutable generation : int;
-}
+let f_fn_id = 0
+
+let f_mode = 1
+
+let f_triggered_at = 2
+
+let f_init = 3
+
+let f_exec = 4
+
+let f_preemption = 5
+
+let f_completed_at = 6
+
+let width = 7
+
+type t = { rows : Int_rows.t; mutable generation : int }
 
 type handle = int
 
@@ -30,89 +36,49 @@ let gen_bits = 20
 
 let gen_mask = (1 lsl gen_bits) - 1
 
-let create ?(capacity = 64) () =
-  let capacity = max 1 capacity in
-  let col () = Array.make capacity 0 in
-  {
-    fn_id = col ();
-    mode = col ();
-    triggered_at = col ();
-    init = col ();
-    exec = col ();
-    preemption = col ();
-    completed_at = col ();
-    len = 0;
-    generation = 0;
-  }
+let create () = { rows = Int_rows.create ~width; generation = 0 }
 
-let length t = t.len
-
-let grow t =
-  let cap = 2 * Array.length t.fn_id in
-  let wider col =
-    let w = Array.make cap 0 in
-    Array.blit col 0 w 0 t.len;
-    w
-  in
-  t.fn_id <- wider t.fn_id;
-  t.mode <- wider t.mode;
-  t.triggered_at <- wider t.triggered_at;
-  t.init <- wider t.init;
-  t.exec <- wider t.exec;
-  t.preemption <- wider t.preemption;
-  t.completed_at <- wider t.completed_at
+let length t = Int_rows.length t.rows
 
 let append t ~fn_id ~mode ~triggered_at ~init ~exec ~preemption ~completed_at =
-  if t.len = Array.length t.fn_id then grow t;
-  let i = t.len in
-  t.fn_id.(i) <- fn_id;
-  t.mode.(i) <- mode;
-  t.triggered_at.(i) <- Time.to_ns triggered_at;
-  t.init.(i) <- Time.span_to_ns init;
-  t.exec.(i) <- Time.span_to_ns exec;
-  t.preemption.(i) <- Time.span_to_ns preemption;
-  t.completed_at.(i) <- Time.to_ns completed_at;
-  t.len <- i + 1;
+  let r = t.rows in
+  let i = Int_rows.append r in
+  Int_rows.set r i f_fn_id fn_id;
+  Int_rows.set r i f_mode mode;
+  Int_rows.set r i f_triggered_at (Time.to_ns triggered_at);
+  Int_rows.set r i f_init (Time.span_to_ns init);
+  Int_rows.set r i f_exec (Time.span_to_ns exec);
+  Int_rows.set r i f_preemption (Time.span_to_ns preemption);
+  Int_rows.set r i f_completed_at (Time.to_ns completed_at);
   (i lsl gen_bits) lor t.generation
 
 let clear t =
-  t.len <- 0;
+  Int_rows.clear t.rows;
   t.generation <- (t.generation + 1) land gen_mask
 
 let check t i =
-  if i < 0 || i >= t.len then invalid_arg "Trigger_records: slot out of range"
+  if i < 0 || i >= length t then
+    invalid_arg "Trigger_records: slot out of range"
 
-let fn_id t i =
+let field t i f =
   check t i;
-  t.fn_id.(i)
+  Int_rows.get t.rows i f
 
-let mode_code t i =
-  check t i;
-  t.mode.(i)
+let fn_id t i = field t i f_fn_id
 
-let triggered_at t i =
-  check t i;
-  Time.of_ns t.triggered_at.(i)
+let mode_code t i = field t i f_mode
 
-let init t i =
-  check t i;
-  Time.span_ns t.init.(i)
+let triggered_at t i = Time.of_ns (field t i f_triggered_at)
 
-let exec t i =
-  check t i;
-  Time.span_ns t.exec.(i)
+let init t i = Time.span_ns (field t i f_init)
 
-let preemption t i =
-  check t i;
-  Time.span_ns t.preemption.(i)
+let exec t i = Time.span_ns (field t i f_exec)
 
-let completed_at t i =
-  check t i;
-  Time.of_ns t.completed_at.(i)
+let preemption t i = Time.span_ns (field t i f_preemption)
 
-let total_ns t i =
-  check t i;
-  t.init.(i) + t.exec.(i) + t.preemption.(i)
+let completed_at t i = Time.of_ns (field t i f_completed_at)
+
+let total_ns t i = field t i f_init + field t i f_exec + field t i f_preemption
 
 let slot t h =
   if h land gen_mask <> t.generation then
@@ -122,13 +88,13 @@ let slot t h =
   i
 
 let iter t f =
-  for i = 0 to t.len - 1 do
+  for i = 0 to length t - 1 do
     f i
   done
 
 let fold t ~init:acc ~f =
   let acc = ref acc in
-  for i = 0 to t.len - 1 do
+  for i = 0 to length t - 1 do
     acc := f !acc i
   done;
   !acc

@@ -1,12 +1,13 @@
-(** Struct-of-arrays arena for completed-invocation records.
+(** Store for completed-invocation records.
 
-    Seven parallel int columns (fn-id, start-mode code, and the five
-    time fields as integer nanoseconds), grown by doubling and
+    Seven int fields per row (fn-id, start-mode code, and the five
+    time fields as integer nanoseconds), kept in {!Int_rows} chunks and
     addressed by slot index.  Appending writes seven ints and boxes
     nothing, so the per-trigger record cost is 7 words flat — the
     replacement for [Platform]'s old [record list], whose cons + boxed
     record + string name made 100M-trigger runs O(run length) in GC
-    pressure.
+    pressure.  Growth adds 1024-row chunks and never copies them, so
+    it leaves no outgrown columns behind as garbage.
 
     The mode column carries owner-defined dense codes (the platform
     maps its [start_mode] onto them); the fn-id column carries
@@ -19,8 +20,8 @@ type t
 type handle
 (** An immediate (generation, slot) reference to one appended row. *)
 
-val create : ?capacity:int -> unit -> t
-(** An empty arena ([capacity] rows pre-sized, default 64). *)
+val create : unit -> t
+(** An empty store. *)
 
 val length : t -> int
 (** Rows appended since the last {!clear} — append order is
@@ -36,10 +37,11 @@ val append :
   preemption:Horse_sim.Time_ns.span ->
   completed_at:Horse_sim.Time_ns.t ->
   handle
-(** Append one row; allocation-free except on capacity doubling. *)
+(** Append one row; allocation-free except when a chunk is added. *)
 
 val clear : t -> unit
-(** Drop every row and invalidate all outstanding handles. *)
+(** Drop every row (keeping the chunks for reuse) and invalidate all
+    outstanding handles. *)
 
 val slot : t -> handle -> int
 (** The row index behind a handle.

@@ -10,6 +10,8 @@ and callback = t -> unit
 
 type event_handle = Event_queue.handle
 
+let null_handle = Event_queue.null_handle
+
 let create ?(seed = 42) () =
   {
     clock = Time_ns.zero;
@@ -38,14 +40,23 @@ let next_time t = Event_queue.next_time t.queue
 
 let events_fired t = t.fired
 
+(* The sentinel [take_until] hands back when nothing is due: never
+   scheduled, so [==] against it tells "drained" from a real event
+   without boxing the pop. *)
+let drained : callback = fun _ -> assert false
+
+let fire t f =
+  t.clock <- Event_queue.popped_at t.queue;
+  t.fired <- t.fired + 1;
+  f t
+
 let step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (at, f) ->
-    t.clock <- at;
-    t.fired <- t.fired + 1;
-    f t;
+  let f = Event_queue.take_until t.queue ~limit:None ~none:drained in
+  if f == drained then false
+  else begin
+    fire t f;
     true
+  end
 
 let run ?until t =
   if t.running then
@@ -56,16 +67,11 @@ let run ?until t =
          (Time_ns.to_ns t.clock));
   t.running <- true;
   Fun.protect ~finally:(fun () -> t.running <- false) @@ fun () ->
-  let rec drain () =
-    match Event_queue.pop_until t.queue ~limit:until with
-    | None -> ()
-    | Some (at, f) ->
-      t.clock <- at;
-      t.fired <- t.fired + 1;
-      f t;
-      drain ()
-  in
-  drain ();
+  let continue = ref true in
+  while !continue do
+    let f = Event_queue.take_until t.queue ~limit:until ~none:drained in
+    if f == drained then continue := false else fire t f
+  done;
   match until with
   | Some limit when Time_ns.(t.clock < limit) -> t.clock <- limit
   | Some _ | None -> ()

@@ -12,6 +12,10 @@ type t
 type event_handle
 (** Allows cancelling a scheduled callback. *)
 
+val null_handle : event_handle
+(** A handle that names no event: {!cancel} on it returns [false].
+    Fills handle slots that hold nothing yet. *)
+
 val create : ?seed:int -> unit -> t
 (** A fresh simulation at time {!Time_ns.zero}.  [seed] defaults to 42. *)
 

@@ -25,10 +25,14 @@
    Popping merges the two sources by (timestamp, sequence), so FIFO
    among equal timestamps holds across the ring/heap split — the
    property tests pin the merged order against the boxed
-   {!Event_queue_reference}.
+   {!Event_queue_reference}.  [take_until] returns the bare payload
+   and leaves the event's timestamp in the queue ([popped_at]), so a
+   run loop pops without allocating; [pop]/[pop_until] box the same
+   result as [Some (at, payload)] — an option and a pair per event —
+   for callers that want a value.
 
    Invariants the near/far split relies on:
-   - [clock] (timestamp of the last pop) never decreases, and no live
+   - [clock] (the latest popped timestamp) never decreases, and no live
      ring event is ever behind it: the pop always takes the global
      minimum, so the clock cannot pass a pending near event.
    - Live ring events therefore sit in [clock, clock + ring_size), and
@@ -73,12 +77,16 @@ type 'a t = {
   mutable ring_live : int;
   mutable ring_next : int; (* lower bound on the next live ring tick *)
   (* queue state *)
-  mutable clock : int; (* timestamp of the last pop *)
+  mutable clock : int; (* high-water mark of popped timestamps *)
+  mutable popped : int; (* timestamp of the last popped event *)
   mutable next_seq : int;
   mutable live_count : int;
 }
 
 type handle = int
+
+(* slot [slot_mask] is never allocated, so [cancel] refuses it *)
+let null_handle = -1
 
 let dummy : 'a. unit -> 'a = fun () -> Obj.magic 0
 
@@ -100,6 +108,7 @@ let create () =
     ring_live = 0;
     ring_next = max_int;
     clock = 0;
+    popped = 0;
     next_seq = 0;
     live_count = 0;
   }
@@ -337,9 +346,6 @@ let consume_ring t tick =
   t.clock <- tick;
   payload
 
-(* Returns only the payload (the timestamp is [hat.(0)], read by the
-   caller first) so the hot path builds exactly one [Some (at, v)]
-   block and nothing else. *)
 let consume_heap t =
   let at = t.hat.(0) and slot = t.hslot.(0) in
   t.hsize <- t.hsize - 1;
@@ -354,12 +360,20 @@ let consume_heap t =
   if at > t.clock then t.clock <- at;
   payload
 
-let pop_until t ~limit =
-  if t.live_count = 0 then None
+let limit_ns = function None -> max_int | Some l -> Time_ns.to_ns l
+
+(* Where the earliest live event firing at or before [limit_ns] sits:
+   [src_ring], [src_heap], or [src_none] when nothing is due.  A found
+   event's timestamp is left in [popped] for the consume that follows. *)
+let src_none = 0
+
+let src_ring = 1
+
+let src_heap = 2
+
+let select t limit_ns =
+  if t.live_count = 0 then src_none
   else begin
-    let limit_ns =
-      match limit with None -> max_int | Some l -> Time_ns.to_ns l
-    in
     let rtick = ring_scan t in
     let use_ring =
       if t.hsize = 0 then true
@@ -374,14 +388,29 @@ let pop_until t ~limit =
            t.a_seq.(packed land slot_mask) < t.hseq.(0)
       end
     in
-    if use_ring then
-      if rtick > limit_ns then None
-      else Some (Time_ns.of_ns rtick, consume_ring t rtick)
+    let at = if use_ring then rtick else t.hat.(0) in
+    if at > limit_ns then src_none
     else begin
-      let at = t.hat.(0) in
-      if at > limit_ns then None
-      else Some (Time_ns.of_ns at, consume_heap t)
+      t.popped <- at;
+      if use_ring then src_ring else src_heap
     end
+  end
+
+let consume t src =
+  if src = src_ring then consume_ring t t.popped else consume_heap t
+
+let take_until t ~limit ~none =
+  let src = select t (limit_ns limit) in
+  if src = src_none then none else consume t src
+
+let popped_at t = Time_ns.of_ns t.popped
+
+let pop_until t ~limit =
+  let src = select t (limit_ns limit) in
+  if src = src_none then None
+  else begin
+    let payload = consume t src in
+    Some (Time_ns.of_ns t.popped, payload)
   end
 
 let pop t = pop_until t ~limit:None

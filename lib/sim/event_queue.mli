@@ -10,6 +10,9 @@ type 'a t
 type handle
 (** Identifies a scheduled event so it can be cancelled. *)
 
+val null_handle : handle
+(** Names no event: {!cancel} on it returns [false]. *)
+
 val create : unit -> 'a t
 
 val schedule : 'a t -> at:Time_ns.t -> 'a -> handle
@@ -25,6 +28,19 @@ val cancel : 'a t -> handle -> bool
 
 val next_time : 'a t -> Time_ns.t option
 (** The firing time of the earliest live event. *)
+
+val take_until : 'a t -> limit:Time_ns.t option -> none:'a -> 'a
+(** Remove the earliest live event firing at or before [limit] ([None]
+    means no bound) and return its payload, or return [none] when no
+    such event is queued (events beyond the limit stay queued).  The
+    popped event's timestamp is read back with {!popped_at}.  Nothing
+    is allocated, so a run loop that compares the result against its
+    own sentinel with [==] pops for free. *)
+
+val popped_at : 'a t -> Time_ns.t
+(** The timestamp of the event the last successful pop removed (a
+    late event, scheduled before an earlier pop, reports its own
+    time); {!Time_ns.zero} before the first pop. *)
 
 val pop : 'a t -> (Time_ns.t * 'a) option
 (** Remove and return the earliest live event. *)

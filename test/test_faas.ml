@@ -972,6 +972,199 @@ let arena_spec =
 let test_arena_oracle () = Harness.check arena_spec
 
 (* ------------------------------------------------------------------ *)
+(* The live-invocation arena and the chunked record store              *)
+(* ------------------------------------------------------------------ *)
+
+module Fault = Horse_fault.Fault
+
+let register_long ?(exec = Time.span_ms 2.0) platform =
+  Platform.register platform
+    (Function_def.create ~name:"long" ~vcpus:4 ~memory_mb:1024
+       ~exec:(Function_def.Fixed exec) ~ull:true ())
+
+let counter platform name = Metrics.counter (Platform.metrics platform) name
+
+let warm_horse = Platform.Warm Sandbox.Horse
+
+let try_trigger platform ~name =
+  match Platform.trigger platform ~name ~mode:warm_horse () with
+  | () -> ()
+  | exception Platform.No_warm_sandbox _ -> ()
+
+let test_arena_slots_return () =
+  (* preemptions, exec crashes and a blackout that lands mid-flight
+     all hand their slots back: afterwards nothing is live, no vCPU is
+     held, and later triggers reuse the slots the storm grew instead
+     of adding any *)
+  let engine = Engine.create ~seed:5 () in
+  let faults =
+    Fault.Plan.create ~seed:9 ~rates:[ (Fault.Exec_crash, 0.2) ] ()
+  in
+  let platform =
+    Platform.create ~topology:small_topology ~jitter:0.0 ~seed:5 ~faults
+      ~recovery:Platform.Recovery.default ~engine ()
+  in
+  register_long platform;
+  register_nat platform ~vcpus:2;
+  Platform.provision platform ~name:"long" ~count:8 ~strategy:Sandbox.Horse;
+  Platform.provision platform ~name:"nat" ~count:40 ~strategy:Sandbox.Horse;
+  for i = 0 to 199 do
+    ignore
+      (Engine.schedule engine
+         ~after:(Time.span_us (float_of_int i *. 100.0))
+         (fun _ ->
+           try_trigger platform ~name:(if i mod 4 = 0 then "long" else "nat")))
+  done;
+  let lost = ref 0 in
+  ignore
+    (Engine.schedule engine ~after:(Time.span_us 10_050.0) (fun _ ->
+         lost := Platform.blackout platform));
+  Engine.run engine;
+  Alcotest.(check bool) "the blackout caught invocations in flight" true
+    (!lost > 0);
+  Alcotest.(check bool) "preemptions happened" true
+    (counter platform "platform.preemptions" > 0);
+  Alcotest.(check bool) "exec crashes happened" true
+    (counter platform "platform.exec_crashes" > 0);
+  Alcotest.(check int) "nothing live" 0 (Platform.live_invocations platform);
+  Alcotest.(check int) "no vCPU held" 0 (Platform.busy_vcpus platform);
+  let slots = Platform.invocation_slots platform in
+  Alcotest.(check bool) "the arena grew" true (slots >= 8);
+  (* the whole arena is free again: as many launches at one instant as
+     it has slots fit without growing it *)
+  for _ = 1 to slots do
+    Platform.trigger platform ~name:"nat" ~mode:Platform.Restore ()
+  done;
+  Alcotest.(check int) "every slot taken at once" slots
+    (Platform.live_invocations platform);
+  Alcotest.(check int) "without growing the arena" slots
+    (Platform.invocation_slots platform);
+  Engine.run engine;
+  (* one-at-a-time triggers keep cycling through the same slots *)
+  let ended () =
+    Platform.record_count platform + counter platform "platform.aborts"
+  in
+  let ended_before = ended () in
+  let sequential = 4 * slots in
+  for _ = 1 to sequential do
+    Platform.trigger platform ~name:"nat" ~mode:Platform.Restore ();
+    Engine.run engine
+  done;
+  Alcotest.(check int) "slots reused, none added" slots
+    (Platform.invocation_slots platform);
+  Alcotest.(check int) "every sequential trigger completed or aborted"
+    (ended_before + sequential) (ended ());
+  Alcotest.(check int) "nothing live after" 0
+    (Platform.live_invocations platform);
+  Alcotest.(check int) "no vCPU held after" 0 (Platform.busy_vcpus platform)
+
+let test_doomed_preempted_still_crashes () =
+  (* every execution is doomed and none is retried.  HORSE merge
+     threads push invocations back while they run; a pushed-back
+     doomed invocation must still crash when its rescheduled event
+     fires — so no record is ever appended *)
+  let engine = Engine.create ~seed:5 () in
+  let faults =
+    Fault.Plan.create ~seed:3 ~rates:[ (Fault.Exec_crash, 1.0) ] ()
+  in
+  let platform =
+    Platform.create ~topology:small_topology ~jitter:0.0 ~seed:5 ~faults
+      ~engine ()
+  in
+  register_long ~exec:(Time.span_ms 50.0) platform;
+  register_nat platform ~vcpus:4;
+  Platform.provision platform ~name:"nat" ~count:200 ~strategy:Sandbox.Horse;
+  Platform.trigger platform ~name:"long" ~mode:Platform.Cold ();
+  for i = 1 to 200 do
+    ignore
+      (Engine.schedule engine
+         ~after:(Time.span_us (float_of_int i *. 100.0))
+         (fun _ -> try_trigger platform ~name:"nat"))
+  done;
+  Engine.run engine;
+  let launched =
+    counter platform "platform.triggers.cold"
+    + counter platform "platform.triggers.warm-horse"
+  in
+  Alcotest.(check bool) "preemptions pushed doomed invocations back" true
+    (counter platform "platform.preemptions" > 0);
+  Alcotest.(check int) "no doomed invocation completed" 0
+    (Platform.record_count platform);
+  Alcotest.(check int) "every launch crashed" launched
+    (counter platform "platform.exec_crashes");
+  Alcotest.(check int) "and was aborted" launched
+    (counter platform "platform.aborts");
+  Alcotest.(check int) "nothing live" 0 (Platform.live_invocations platform);
+  Alcotest.(check int) "no vCPU held" 0 (Platform.busy_vcpus platform)
+
+let test_trigger_records_chunk_boundary () =
+  let chunk = Horse_faas.Int_rows.chunk_rows in
+  let a = Trigger_records.create () in
+  let append ~salt i =
+    Trigger_records.append a ~fn_id:(i + salt) ~mode:((i + salt) mod 6)
+      ~triggered_at:(Time.of_ns ((10 * i) + salt))
+      ~init:(Time.span_ns (i + 1))
+      ~exec:(Time.span_ns (2 * i))
+      ~preemption:(Time.span_ns ((i + salt) mod 7))
+      ~completed_at:(Time.of_ns ((13 * i) + salt + 1))
+  in
+  let check_row ~salt i =
+    let msg what = Printf.sprintf "salt %d row %d: %s" salt i what in
+    Alcotest.(check int) (msg "fn_id") (i + salt) (Trigger_records.fn_id a i);
+    Alcotest.(check int) (msg "mode") ((i + salt) mod 6)
+      (Trigger_records.mode_code a i);
+    Alcotest.(check int) (msg "triggered_at") ((10 * i) + salt)
+      (Time.to_ns (Trigger_records.triggered_at a i));
+    Alcotest.(check int) (msg "init") (i + 1)
+      (ns_of (Trigger_records.init a i));
+    Alcotest.(check int) (msg "exec") (2 * i)
+      (ns_of (Trigger_records.exec a i));
+    Alcotest.(check int) (msg "preemption") ((i + salt) mod 7)
+      (ns_of (Trigger_records.preemption a i));
+    Alcotest.(check int) (msg "completed_at") ((13 * i) + salt + 1)
+      (Time.to_ns (Trigger_records.completed_at a i));
+    Alcotest.(check int) (msg "total")
+      ((i + 1) + (2 * i) + ((i + salt) mod 7))
+      (Trigger_records.total_ns a i)
+  in
+  let n = (2 * chunk) + 500 in
+  let handles = Array.init n (append ~salt:0) in
+  Alcotest.(check int) "length" n (Trigger_records.length a);
+  for i = 0 to n - 1 do
+    check_row ~salt:0 i
+  done;
+  List.iter
+    (fun i ->
+      Alcotest.(check int) (Printf.sprintf "slot of handle %d" i) i
+        (Trigger_records.slot a handles.(i)))
+    [ 0; chunk - 1; chunk; chunk + 1; (2 * chunk) - 1; 2 * chunk; n - 1 ];
+  Alcotest.check_raises "read past the end"
+    (Invalid_argument "Trigger_records: slot out of range") (fun () ->
+      ignore (Trigger_records.fn_id a n));
+  Alcotest.(check int) "fold visits every row in order"
+    (n * (n - 1) / 2)
+    (Trigger_records.fold a ~init:0 ~f:(fun acc i ->
+         acc + Trigger_records.fn_id a i));
+  Trigger_records.clear a;
+  Alcotest.(check int) "cleared" 0 (Trigger_records.length a);
+  Alcotest.check_raises "handle from before the clear"
+    (Invalid_argument "Trigger_records.slot: stale handle (arena was cleared)")
+    (fun () -> ignore (Trigger_records.slot a handles.(chunk)));
+  Alcotest.check_raises "rows are gone"
+    (Invalid_argument "Trigger_records: slot out of range") (fun () ->
+      ignore (Trigger_records.exec a 0));
+  (* refill across the boundary again: the reused chunks hold the new
+     rows, not the old ones *)
+  let m = chunk + 100 in
+  let fresh_handles = Array.init m (append ~salt:3) in
+  Alcotest.(check int) "refilled" m (Trigger_records.length a);
+  for i = 0 to m - 1 do
+    check_row ~salt:3 i
+  done;
+  Alcotest.(check int) "new handle past the boundary" (chunk + 1)
+    (Trigger_records.slot a fresh_handles.(chunk + 1))
+
+(* ------------------------------------------------------------------ *)
 (* Batched vs closure-per-trigger ingestion                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1033,6 +1226,49 @@ let test_batch_matches_closure_ingestion () =
   Alcotest.(check int) "windowed ingestion completes the same count"
     (Cluster.record_count cluster_a)
     (Cluster.record_count cluster_c)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation guard on the warm trigger path                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words per trigger of a fixed Direct warm storm: one server,
+   2,000 HORSE triggers, one domain.  The count is deterministic, so
+   tier-1 can gate it.  The bound sits about 15% above the figure the
+   flat invocation arena measures, so a closure or box put back on the
+   path from arrival to completion fails here.  Most of what remains
+   is the hypervisor's resume and pause. *)
+let warm_path_words_bound = 165.0
+
+let test_warm_path_allocation_bound () =
+  let engine = Engine.create ~seed:3 () in
+  let cluster =
+    Cluster.create ~servers:1 ~topology:small_topology ~ull_count:4 ~seed:3
+      ~engine ()
+  in
+  Cluster.register cluster
+    (Function_def.create ~name:"ull" ~vcpus:2 ~memory_mb:512
+       ~exec:(Function_def.Ull Category.Cat2) ());
+  Cluster.provision cluster ~name:"ull" ~total:64 ~strategy:Sandbox.Horse;
+  let n = 2_000 in
+  let batch =
+    Batch.uniform
+      ~rng:(Horse_sim.Rng.create ~seed:4)
+      ~n ~duration:(Time.span_ms 20.0)
+      ~fn_id:(Cluster.fn_id cluster ~name:"ull")
+      ~payload:(Platform.mode_code (Platform.Warm Sandbox.Horse))
+      ()
+  in
+  Cluster.schedule_batch cluster batch;
+  let w0 = Gc.minor_words () in
+  Cluster.run cluster;
+  let per_trigger = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "every trigger completed" n
+    (Cluster.record_count cluster);
+  Alcotest.(check bool)
+    (Printf.sprintf "warm path: %.1f words/trigger <= %.0f" per_trigger
+       warm_path_words_bound)
+    true
+    (per_trigger <= warm_path_words_bound)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics surface                                                     *)
@@ -1245,8 +1481,16 @@ let () =
           Alcotest.test_case "load index edges" `Quick test_load_index_edges;
           Alcotest.test_case "arena vs boxed oracle (harness)" `Quick
             test_arena_oracle;
+          Alcotest.test_case "arena slots return and are reused" `Quick
+            test_arena_slots_return;
+          Alcotest.test_case "preempted doomed invocation crashes" `Quick
+            test_doomed_preempted_still_crashes;
+          Alcotest.test_case "record store across the chunk boundary" `Quick
+            test_trigger_records_chunk_boundary;
           Alcotest.test_case "batch vs closure ingestion" `Quick
             test_batch_matches_closure_ingestion;
+          Alcotest.test_case "warm path allocation bound" `Quick
+            test_warm_path_allocation_bound;
         ] );
       ( "metrics",
         [ Alcotest.test_case "recorded" `Quick test_metrics_recorded ] );

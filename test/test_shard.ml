@@ -10,6 +10,7 @@ module Shard_engine = Horse_sim.Shard_engine
 module Time = Horse_sim.Time_ns
 module Metrics = Horse_sim.Metrics
 module Rng = Horse_sim.Rng
+module Stats = Horse_sim.Stats
 module Topology = Horse_cpu.Topology
 module Sandbox = Horse_vmm.Sandbox
 module Platform = Horse_faas.Platform
@@ -565,7 +566,11 @@ let golden_digests =
     ("core", true, 1337, "06827c40e56aa1e06da17cabb254f385");
   ]
 
-let test_golden_traces () =
+let sharded_digest ~policy ~seed ~faulty =
+  let c = sharded_storm ~policy ~seed ~shards:2 ~faulty () in
+  Digest.to_hex (Digest.string (dump_cluster c))
+
+let check_goldens ~label ~digest goldens =
   let builtins = Cluster.Policy.builtins () in
   List.iter
     (fun (policy_name, faulty, seed, expected) ->
@@ -574,12 +579,132 @@ let test_golden_traces () =
           (fun p -> String.equal (Cluster.Policy.name p) policy_name)
           builtins
       in
-      let c = sharded_storm ~policy ~seed ~shards:2 ~faulty () in
       Alcotest.(check string)
-        (Printf.sprintf "%s faulty=%b seed=%d" policy_name faulty seed)
+        (Printf.sprintf "%s%s faulty=%b seed=%d" label policy_name faulty seed)
         expected
-        (Digest.to_hex (Digest.string (dump_cluster c))))
-    golden_digests
+        (digest ~policy ~seed ~faulty))
+    goldens
+
+let test_golden_traces () =
+  check_goldens ~label:"" ~digest:sharded_digest golden_digests
+
+(* ------------------------------------------------------------------ *)
+(* Direct-mode goldens: the single-engine trigger path                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A 4 ms function on half of each server's CPUs: its invocations
+   overlap, so HORSE merge threads preempt them, and exec crashes
+   doom some of the preempted ones. *)
+let long_def =
+  Function_def.create ~name:"long" ~vcpus:4 ~memory_mb:1024
+    ~exec:(Function_def.Fixed (Time.span_ms 4.0)) ~ull:true ()
+
+let direct_plan seed =
+  Fault.Plan.create ~seed
+    ~rates:
+      (List.map
+         (fun trigger ->
+           ( trigger,
+             match trigger with
+             | Fault.Server_blackout -> 0.95
+             | Fault.Exec_crash -> 0.15
+             | _ -> 0.02 ))
+         Fault.all_triggers)
+    ()
+
+(* A Direct cluster (every server on one engine) under a mixed storm:
+   every fourth trigger is [long], every third carries an [on_complete]
+   subscriber whose rows join the dump. *)
+let direct_storm ~policy ~seed ~faulty () =
+  let faults = if faulty then direct_plan (seed + 1) else Fault.Plan.none in
+  let engine = Engine.create ~seed () in
+  let cluster =
+    Cluster.create ~servers:4 ~topology:small_topology ~seed ~faults
+      ~recovery:Platform.Recovery.default ~policy ~e2e:true ~engine ()
+  in
+  Cluster.register cluster ull_def;
+  Cluster.register cluster long_def;
+  Cluster.provision cluster ~name:"ull" ~total:12 ~strategy:Sandbox.Horse;
+  Cluster.provision cluster ~name:"long" ~total:8 ~strategy:Sandbox.Horse;
+  let horizon = Time.span_ms 50.0 in
+  if faulty then begin
+    let outages = Cluster.schedule_faults cluster ~horizon in
+    Alcotest.(check bool) "plan is non-inert" true (outages > 0)
+  end;
+  let seen = Buffer.create 1024 in
+  let rng = Rng.create ~seed:(seed + 2) in
+  for k = 1 to 300 do
+    let after = Time.span_ns (Rng.int rng (Time.span_to_ns horizon)) in
+    let name = if k mod 4 = 0 then "long" else "ull" in
+    let on_complete =
+      if k mod 3 = 0 then
+        Some
+          (fun (server, r) ->
+            Buffer.add_string seen (Printf.sprintf "k%d " k);
+            dump_record seen (server, r))
+      else None
+    in
+    ignore
+      (Engine.schedule engine ~after (fun _ ->
+           ignore
+             (Cluster.trigger cluster ~name
+                ~mode:(Platform.Warm Sandbox.Horse) ?on_complete ())))
+  done;
+  Cluster.run cluster;
+  (cluster, Buffer.contents seen)
+
+let dump_direct (cluster, seen) =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf (dump_cluster cluster);
+  Buffer.add_string buf seen;
+  (match Cluster.e2e_latencies cluster with
+  | None -> Alcotest.fail "e2e estimator missing"
+  | Some q ->
+    Buffer.add_string buf
+      (Printf.sprintf "e2e n=%d mean=%h" (Stats.Quantile.count q)
+         (Stats.Quantile.mean q));
+    if Stats.Quantile.count q > 0 then
+      Array.iter
+        (fun p ->
+          Buffer.add_string buf
+            (Printf.sprintf " p%g=%h" p
+               (Stats.Quantile.percentile q (100.0 *. p))))
+        (Stats.Quantile.targets q));
+  Buffer.contents buf
+
+(* MD5 digests of [dump_direct] on every (policy, faulty, seed) Direct
+   storm, captured before the flat invocation arena replaced the boxed
+   per-invocation records, the cached completion sinks and the
+   allocation-free engine pop.  They pin the Direct path the sharded
+   goldens above do not reach. *)
+let direct_golden_digests =
+  [
+    ("push-warm-first", false, 1, "d2fbcff73e94c4841fa047b4748b1a49");
+    ("push-warm-first", false, 42, "d54f58ccb4870c82b53083e7ae0fcc28");
+    ("push-warm-first", false, 1337, "28ceea03349dbc306fded21de03be693");
+    ("push-warm-first", true, 1, "cbb0ee998e5499910f13bfbbfb9bf7ce");
+    ("push-warm-first", true, 42, "e9b1622856f35ccd68189ac9bdc71896");
+    ("push-warm-first", true, 1337, "23b339a66d72540e7fd96dd479350c1e");
+    ("pull", false, 1, "6f5b34034f8ca6b428881ea14a0ebb66");
+    ("pull", false, 42, "4756aa1367c2fe32f8f65ec5ea06bf03");
+    ("pull", false, 1337, "31ee7f3e519d23e6128c85246f52b834");
+    ("pull", true, 1, "b2f7068734f7f9ca9ccdc2d0f66df7c2");
+    ("pull", true, 42, "815277c9df9f633c074d2141dbab8af7");
+    ("pull", true, 1337, "4f1e445e4aceed3ffd0707b7cb705486");
+    ("core", false, 1, "0a644689cc5c7cca6faa05bcafaf9e3a");
+    ("core", false, 42, "3667bd109eaf09adf41f810217eefd09");
+    ("core", false, 1337, "d0b6a1797e2ae2bd42d11bc6ce8ab795");
+    ("core", true, 1, "dc23748455992ae7944096c94863dd5a");
+    ("core", true, 42, "1361beff4a4aa984f0ac86358911fb0f");
+    ("core", true, 1337, "b321cfff6c5ddcfc722da9a80cd70427");
+  ]
+
+let direct_digest ~policy ~seed ~faulty =
+  let run = direct_storm ~policy ~seed ~faulty () in
+  Digest.to_hex (Digest.string (dump_direct run))
+
+let test_direct_golden_traces () =
+  check_goldens ~label:"direct " ~digest:direct_digest direct_golden_digests
 
 (* ------------------------------------------------------------------ *)
 (* The router: pull-claim order and the load index                     *)
@@ -751,22 +876,25 @@ let test_load_index_churn () =
     [ 1; 42; 1337 ]
 
 (* Print the digest of every storm trace and exit — used once to pin
-   the golden digests above. *)
+   the golden digests above (sharded first, then Direct). *)
 let () =
   if Sys.getenv_opt "HORSE_DUMP_GOLDEN" <> None then begin
-    List.iter
-      (fun policy ->
-        List.iter
-          (fun faulty ->
-            List.iter
-              (fun seed ->
-                let c = sharded_storm ~policy ~seed ~shards:2 ~faulty () in
-                Printf.printf "(\"%s\", %b, %d, \"%s\");\n"
-                  (Cluster.Policy.name policy) faulty seed
-                  (Digest.to_hex (Digest.string (dump_cluster c))))
-              [ 1; 42; 1337 ])
-          [ false; true ])
-      (Cluster.Policy.builtins ());
+    let print digest =
+      List.iter
+        (fun policy ->
+          List.iter
+            (fun faulty ->
+              List.iter
+                (fun seed ->
+                  Printf.printf "(\"%s\", %b, %d, \"%s\");\n"
+                    (Cluster.Policy.name policy) faulty seed
+                    (digest ~policy ~seed ~faulty))
+                [ 1; 42; 1337 ])
+            [ false; true ])
+        (Cluster.Policy.builtins ())
+    in
+    print sharded_digest;
+    print direct_digest;
     exit 0
   end
 
@@ -793,6 +921,8 @@ let () =
             test_model_based_policies;
           Alcotest.test_case "routers=1 golden traces" `Quick
             test_golden_traces;
+          Alcotest.test_case "direct-mode golden traces" `Quick
+            test_direct_golden_traces;
         ] );
       ( "router plane",
         [
