@@ -11,13 +11,15 @@ test:
 	dune runtest
 
 # the model-based suites (harness-driven oracle scripts in test_sim,
-# test_psm, test_fault) at 10x script length and count, seeds
+# test_psm, test_fault, test_workflow, and test_sched's normal-queue
+# pick against the linear scan) at 10x script length and count, seeds
 # 1/42/1337; the plain `dune runtest` tier-1 stays fast
 test-stress:
 	HORSE_STRESS=1 dune exec test/test_sim.exe
 	HORSE_STRESS=1 dune exec test/test_psm.exe
 	HORSE_STRESS=1 dune exec test/test_fault.exe
 	HORSE_STRESS=1 dune exec test/test_workflow.exe
+	HORSE_STRESS=1 dune exec test/test_sched.exe
 
 # the default flow: build, tests (incl. stressed model-based suites),
 # regenerate all bench records, gate on them (sweeps must not

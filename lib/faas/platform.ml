@@ -683,7 +683,7 @@ and occupy t s = function
   | { Sandbox.queue; _ } :: rest ->
     let cpu = Runqueue.cpu queue in
     Horse_cpu.Dvfs.note_utilisation t.dvfs ~cpu
-      (Horse_sched.Load_tracking.utilisation (Runqueue.load queue));
+      (Runqueue.utilisation queue);
     t.occupancy.(cpu) <- s;
     t.busy_vcpus <- t.busy_vcpus + 1;
     occupy t s rest

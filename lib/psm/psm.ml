@@ -88,14 +88,15 @@ module Plan = struct
 
   type stats = { threads : int; spliced : int; max_segment : int }
 
-  let create source =
+  let create ~capacity source =
+    if capacity < 0 then invalid_arg "Psm.Plan.create: negative capacity";
     {
       source;
       compare = Al.compare_fn source;
-      keys = Array.make 8 0;
-      heads = Array.make 8 Al.nil;
-      tails = Array.make 8 Al.nil;
-      counts = Array.make 8 0;
+      keys = Array.make capacity 0;
+      heads = Array.make capacity Al.nil;
+      tails = Array.make capacity Al.nil;
+      counts = Array.make capacity 0;
       nseg = 0;
       total = 0;
       valid = true;
@@ -160,7 +161,7 @@ module Plan = struct
     if !lo < t.nseg && t.keys.(!lo) = key then !lo else -1
 
   let build ~source ~(index : 'a Index.t) =
-    let t = create source in
+    let t = create ~capacity:(Al.length source) source in
     (* Two-pointer scan: both lists are sorted, so the key is found by
        advancing a single cursor over the index. *)
     let cursor = ref 0 in
@@ -190,7 +191,7 @@ module Plan = struct
     done
 
   let build_binary ~source ~index =
-    let t = create source in
+    let t = create ~capacity:(Al.length source) source in
     refill t ~index;
     t
 

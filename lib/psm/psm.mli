@@ -100,9 +100,13 @@ module Plan : sig
   (** Same result via per-element binary search (O(|A|·log |B|));
       faster when [A] is tiny next to [B].  Ablation material. *)
 
-  val create : 'a Arena_list.t -> 'a t
+  val create : capacity:int -> 'a Arena_list.t -> 'a t
   (** An empty plan over [source], to be filled by {!refill}: one
-      allocation a paused sandbox keeps for its whole life. *)
+      allocation a paused sandbox keeps for its whole life.  A plan
+      never has more segments than [source] has elements, so
+      [capacity] = the source's size is enough; a plan that needs more
+      grows its arrays.
+      @raise Invalid_argument if [capacity < 0]. *)
 
   val refill : 'a t -> index:'a Index.t -> unit
   (** Recompute the plan in place from the source and [index] as they

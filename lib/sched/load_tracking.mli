@@ -16,6 +16,12 @@ val create : ?update:Horse_coalesce.Coalesce.Affine.t -> unit -> t
 
 val load : t -> float
 
+val compare_load : t -> t -> int
+(** [-1], [0] or [1] as [load a] is below, equal to or above [load b]
+    (by [<] and [>]: [-0.0] and [0.0] tie).  Returns an int, so a
+    caller in another module compares two loads without boxing
+    either float. *)
+
 val update_fn : t -> Horse_coalesce.Coalesce.Affine.t
 
 val on_enqueue : t -> unit

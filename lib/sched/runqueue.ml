@@ -11,7 +11,13 @@ type t = {
   cpu : Horse_cpu.Topology.cpu_id;
   mutable kind : kind;
   queue : Vcpu.t Al.t;
-  load : Load_tracking.t;
+  tracker : Load_tracking.t;
+  (* the scheduler's normal-queue argmin, and this queue's leaf in it:
+     [leaf] is -1 while the queue is an ull queue (no leaf) or was made
+     outside a scheduler ([slot] = -1, an empty tree) *)
+  tree : Load_tree.t;
+  slot : int;
+  mutable leaf : int;
   (* arrayB over [queue], kept fresh on ull queues only (a normal
      queue's stays empty: set_kind requires an empty queue) *)
   index : Vcpu.t Psm.Index.t;
@@ -22,19 +28,33 @@ type t = {
   mutable events : int ref;
 }
 
-let create ?arena ?(kind = Normal) ~cpu ~id () =
+let create ?arena ?tree ?(kind = Normal) ~cpu ~id () =
   let arena =
     match arena with
     | Some arena -> arena
     | None -> Al.create_arena ~compare:Vcpu.compare_credit ()
   in
+  let tree, slot =
+    match tree with
+    | None -> (Load_tree.create 0, -1)
+    | Some tree ->
+      if id < 0 || id >= Load_tree.size tree then
+        invalid_arg "Runqueue.create: id outside the tree";
+      (tree, id)
+  in
   let queue = Al.create arena in
+  let tracker = Load_tracking.create () in
+  let leaf = if kind = Normal then slot else -1 in
+  if leaf >= 0 then Load_tree.attach tree leaf tracker ~length:0;
   {
     id;
     cpu;
     kind;
     queue;
-    load = Load_tracking.create ();
+    tracker;
+    tree;
+    slot;
+    leaf;
     index = Psm.Index.build queue;
     sub_ids = [||];
     nsubs = 0;
@@ -53,7 +73,16 @@ let is_ull t = t.kind = Ull
 let set_kind t kind =
   if not (Al.is_empty t.queue) then
     invalid_arg "Runqueue.set_kind: queue not empty";
-  t.kind <- kind
+  t.kind <- kind;
+  match kind with
+  | Ull ->
+    if t.leaf >= 0 then Load_tree.detach t.tree t.leaf;
+    t.leaf <- -1
+  | Normal ->
+    if t.leaf < 0 && t.slot >= 0 then begin
+      t.leaf <- t.slot;
+      Load_tree.attach t.tree t.leaf t.tracker ~length:0
+    end
 
 let timeslice t =
   match t.kind with Ull -> Time.span_us 1.0 | Normal -> Time.span_ms 10.0
@@ -64,7 +93,28 @@ let queue t = t.queue
 
 let arena t = Al.arena t.queue
 
-let load t = t.load
+(* Bring this queue's leaf up to date after its load or length
+   changed.  An ull queue has no leaf: one comparison, and the tree is
+   never touched. *)
+let refresh t =
+  if t.leaf >= 0 then
+    Load_tree.refresh t.tree t.leaf ~length:(Al.length t.queue)
+
+let load t = Load_tracking.load t.tracker
+
+let utilisation t = Load_tracking.utilisation t.tracker
+
+let track_enqueue t =
+  Load_tracking.on_enqueue t.tracker;
+  refresh t
+
+let track_enqueue_coalesced t pre =
+  Load_tracking.on_enqueue_coalesced t.tracker pre;
+  refresh t
+
+let track_dequeue t =
+  Load_tracking.on_dequeue t.tracker;
+  refresh t
 
 let index t =
   if t.kind <> Ull then invalid_arg "Runqueue.index: not an ull_runqueue";
@@ -87,6 +137,7 @@ let enqueue t vcpu =
   let node, steps = Al.insert_sorted t.queue vcpu in
   Vcpu.set_state vcpu Vcpu.Queued;
   note_insert t ~pos:steps node;
+  refresh t;
   (node, steps)
 
 let dequeue t node =
@@ -94,6 +145,7 @@ let dequeue t node =
   let pos = Al.remove_node t.queue node in
   Vcpu.set_state vcpu Vcpu.Offline;
   note_remove t ~pos;
+  refresh t;
   pos
 
 let pop_front t =
@@ -101,6 +153,7 @@ let pop_front t =
   | None -> None
   | Some vcpu ->
     note_remove t ~pos:0;
+    refresh t;
     Some vcpu
 
 let apply_merge t ~plan ~source =
@@ -119,6 +172,7 @@ let apply_merge t ~plan ~source =
     Vcpu.set_state (Al.value t.queue node) Vcpu.Queued;
     note_insert t ~pos:(Al.position t.queue node) node
   done;
+  refresh t;
   (stats, nodes)
 
 let subscribe t ~events =

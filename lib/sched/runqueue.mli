@@ -23,7 +23,17 @@
     That is the plan eager maintenance would hold, because no library
     path changes a queued vCPU's credit while sandboxes are subscribed
     (credit2's reset runs only on executor-driven queues, which no
-    VMM pauses against).  Normal queues keep an empty index. *)
+    VMM pauses against).  Normal queues keep an empty index.
+
+    A normal queue made by a {!Scheduler} is also a leaf of the
+    scheduler's {!Load_tree}, keyed by (tracked load, length).  Every
+    mutator below that changes either ({!enqueue}, {!dequeue},
+    {!pop_front}, {!apply_merge}, the [track_*] load updates)
+    refreshes that leaf itself, and the tracker is not handed out, so
+    no path can change a key behind the tree's back.  Cost model: a
+    change to a normal queue adds one leaf-to-root refresh, O(log
+    cpus) with no allocation; a change to an ull queue, which is no
+    leaf, adds one comparison and never touches the tree. *)
 
 type t
 
@@ -35,6 +45,7 @@ type subscription
 
 val create :
   ?arena:Vcpu.t Horse_psm.Arena_list.arena ->
+  ?tree:Load_tree.t ->
   ?kind:kind ->
   cpu:Horse_cpu.Topology.cpu_id ->
   id:int ->
@@ -43,7 +54,10 @@ val create :
 (** [arena] shares slot storage between queues (the scheduler passes
     one arena for all its queues, which is what lets P²SM splice a
     paused sandbox's list into a queue); by default the queue gets a
-    private arena. *)
+    private arena.  [tree] makes the queue leaf [id] of that tree,
+    present while the queue is [Normal]; by default the queue is in
+    no tree.
+    @raise Invalid_argument if [id] is not a leaf of [tree]. *)
 
 val id : t -> int
 
@@ -55,7 +69,9 @@ val is_ull : t -> bool
 
 val set_kind : t -> kind -> unit
 (** Re-purpose the queue (reservation happens before any workload
-    runs).  @raise Invalid_argument if the queue is not empty. *)
+    runs).  Turning [Ull] drops the queue's tree leaf; turning back
+    [Normal] restores it.
+    @raise Invalid_argument if the queue is not empty. *)
 
 val timeslice : t -> Horse_sim.Time_ns.span
 (** 1 µs for [Ull] queues (§4.1.3), 10 ms for [Normal] ones (a
@@ -69,7 +85,22 @@ val queue : t -> Vcpu.t Horse_psm.Arena_list.t
 val arena : t -> Vcpu.t Horse_psm.Arena_list.arena
 (** The slot arena backing this queue (shared across a scheduler). *)
 
-val load : t -> Load_tracking.t
+val load : t -> float
+(** The tracked load ({!Load_tracking.load}). *)
+
+val utilisation : t -> float
+(** {!Load_tracking.utilisation} of the tracked load. *)
+
+val track_enqueue : t -> unit
+(** One vanilla per-vCPU load update ({!Load_tracking.on_enqueue}). *)
+
+val track_enqueue_coalesced :
+  t -> Horse_coalesce.Coalesce.Precomputed.t -> unit
+(** One coalesced update for a whole sandbox
+    ({!Load_tracking.on_enqueue_coalesced}). *)
+
+val track_dequeue : t -> unit
+(** A removed vCPU sheds its load ({!Load_tracking.on_dequeue}). *)
 
 val index : t -> Vcpu.t Horse_psm.Psm.Index.t
 (** The queue's [arrayB], always fresh: resuming sandboxes derive

@@ -4,6 +4,9 @@ type t = {
   topology : Topology.t;
   arena : Vcpu.t Horse_psm.Arena_list.arena;
   queues : Runqueue.t array;
+  (* argmin over the normal queues, leaf = CPU; every Runqueue
+     mutator keeps it fresh *)
+  normal : Load_tree.t;
   mutable ull : Runqueue.t list;
   global_load : Load_tracking.t;
 }
@@ -19,8 +22,10 @@ let create ?(ull_count = 1) ~topology () =
     Horse_psm.Arena_list.create_arena ~capacity:64
       ~compare:Vcpu.compare_credit ()
   in
+  let normal = Load_tree.create n in
   let queues =
-    Array.init n (fun cpu -> Runqueue.create ~arena ~cpu ~id:cpu ())
+    Array.init n (fun cpu ->
+        Runqueue.create ~arena ~tree:normal ~cpu ~id:cpu ())
   in
   (* Reserve the highest-numbered CPUs: they are the farthest from CPU
      0 where the control plane runs. *)
@@ -34,6 +39,7 @@ let create ?(ull_count = 1) ~topology () =
     topology;
     arena;
     queues;
+    normal;
     ull;
     global_load = Load_tracking.create ();
   }
@@ -72,26 +78,9 @@ let add_ull_runqueue t =
     q
 
 let select_normal t =
-  let better q best =
-    let lq = Load_tracking.load (Runqueue.load q)
-    and lb = Load_tracking.load (Runqueue.load best) in
-    if lq < lb then true
-    else if lq > lb then false
-    else Runqueue.length q < Runqueue.length best
-  in
-  let best =
-    Array.fold_left
-      (fun acc q ->
-        if Runqueue.is_ull q then acc
-        else
-          match acc with
-          | None -> Some q
-          | Some b -> if better q b then Some q else acc)
-      None t.queues
-  in
-  match best with
-  | Some q -> q
-  | None -> invalid_arg "Scheduler.select_normal: every queue is reserved"
+  let cpu = Load_tree.argmin t.normal in
+  if cpu < 0 then invalid_arg "Scheduler.select_normal: every queue is reserved";
+  t.queues.(cpu)
 
 (* The paper's balancing rule: the queue with the fewest paused
    sandboxes attached, i.e. the fewest plan subscribers. *)

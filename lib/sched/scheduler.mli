@@ -39,8 +39,15 @@ val add_ull_runqueue : t -> Runqueue.t
     @raise Invalid_argument if no empty normal queue remains. *)
 
 val select_normal : t -> Runqueue.t
-(** Least-loaded (by tracked load, then occupancy) non-uLL queue —
-    where a vanilla resume puts each vCPU. *)
+(** Least-loaded (by tracked load, then occupancy) non-uLL queue, the
+    lowest CPU on a tie — where a boot, a restore and a vanilla resume
+    put each vCPU.
+
+    Cost model: O(1) and no allocation.  The answer is the root of a
+    {!Load_tree} over the normal queues, which {!Runqueue} refreshes
+    on every change to a normal queue's load or length (O(log cpus)
+    each) and never touches on an ull queue's.
+    @raise Invalid_argument if every queue is reserved. *)
 
 val select_ull_for_pause : t -> Runqueue.t
 (** The ull_runqueue with the fewest attached paused sandboxes (its

@@ -50,8 +50,11 @@ type t = {
      string hashing *)
   pauses_c : int ref array;
   resumes_c : int ref array;
-  (* forced at the first P²SM pause, so a VMM that never makes one
-     lists no such counter *)
+  (* each forced at its first use, so a VMM lists only the counters
+     it has bumped, as string-keyed [Metrics.incr] would *)
+  boots_c : int ref Lazy.t;
+  restores_c : int ref Lazy.t;
+  crashes_c : int ref Lazy.t;
   maintenance_events : int ref Lazy.t;
   (* the §4.2.2 constants per vCPU count, shared by every pause *)
   precomputed : Coalesce.Precomputed.t array;
@@ -84,10 +87,21 @@ let create ?(cost = Cost_model.firecracker) ?(jitter = 0.02) ?(seed = 7)
     faults;
     pauses_c = by_strategy "vmm.pauses.%s" Metrics.counter_ref;
     resumes_c = by_strategy "vmm.resumes.%s" Metrics.counter_ref;
+    boots_c = lazy (Metrics.counter_ref metrics "vmm.boots");
+    restores_c = lazy (Metrics.counter_ref metrics "vmm.restores");
+    crashes_c = lazy (Metrics.counter_ref metrics "vmm.crashes");
     maintenance_events =
       lazy (Metrics.counter_ref metrics "psm.maintenance_events");
     precomputed = Array.init (precomputed_vcpus + 1) make_precomputed;
   }
+
+let bump c =
+  let r = Lazy.force c in
+  r := !r + 1
+
+(* [Some s] for every strategy, indexed by Sandbox.strategy_code: a
+   pause records its strategy without allocating an option *)
+let some_strategy = Array.map Option.some Sandbox.strategies
 
 let precomputed t n =
   if n < Array.length t.precomputed then t.precomputed.(n)
@@ -117,7 +131,7 @@ let evacuate t sandbox =
   List.iter
     (fun { Sandbox.node; queue; _ } ->
       walked := !walked + Runqueue.dequeue queue node;
-      Load_tracking.on_dequeue (Runqueue.load queue))
+      Runqueue.track_dequeue queue)
     (Sandbox.placements sandbox);
   Sandbox.set_placements sandbox [];
   ignore t;
@@ -152,7 +166,7 @@ let teardown t sandbox =
 let crash t sandbox =
   teardown t sandbox;
   Sandbox.set_state sandbox Sandbox.Crashed;
-  Metrics.incr t.metrics "vmm.crashes"
+  bump t.crashes_c
 
 let inject t sandbox ~trigger ~site ~cost_ns =
   crash t sandbox;
@@ -161,17 +175,19 @@ let inject t sandbox ~trigger ~site ~cost_ns =
 (* Place every vCPU on the least-loaded normal queue, as a fresh boot
    or a snapshot restore does. *)
 let place_on_normal_queues t sandbox =
-  let placements =
-    Array.to_list
-      (Array.map
-         (fun vcpu ->
-           let queue = Scheduler.select_normal t.scheduler in
-           let node, _steps = Runqueue.enqueue queue vcpu in
-           Load_tracking.on_enqueue (Runqueue.load queue);
-           { Sandbox.vcpu; node; queue })
-         (Sandbox.vcpus sandbox))
+  let vcpus = Sandbox.vcpus sandbox in
+  let rec place i =
+    if i = Array.length vcpus then []
+    else begin
+      let vcpu = vcpus.(i) in
+      let queue = Scheduler.select_normal t.scheduler in
+      let node, _steps = Runqueue.enqueue queue vcpu in
+      Runqueue.track_enqueue queue;
+      let p = { Sandbox.vcpu; node; queue } in
+      p :: place (i + 1)
+    end
   in
-  Sandbox.set_placements sandbox placements
+  Sandbox.set_placements sandbox (place 0)
 
 let boot t sandbox =
   require_state sandbox [ Sandbox.Created; Sandbox.Stopped ]
@@ -179,8 +195,9 @@ let boot t sandbox =
   Sandbox.set_state sandbox Sandbox.Booting;
   place_on_normal_queues t sandbox;
   Sandbox.set_state sandbox Sandbox.Running;
-  Metrics.incr t.metrics "vmm.boots";
-  Log.debug (fun m -> m "boot %a" Sandbox.pp sandbox);
+  bump t.boots_c;
+  if Horse_sim.Logging.debug_on log_src then
+    Log.debug (fun m -> m "boot %a" Sandbox.pp sandbox);
   jittered t t.cost.Cost_model.cold_boot_ns
 
 let restore t sandbox =
@@ -194,7 +211,7 @@ let restore t sandbox =
   Sandbox.set_state sandbox Sandbox.Booting;
   place_on_normal_queues t sandbox;
   Sandbox.set_state sandbox Sandbox.Running;
-  Metrics.incr t.metrics "vmm.restores";
+  bump t.restores_c;
   jittered t t.cost.Cost_model.restore_ns
 
 (* Pause-side setup of the §4.1.3 structures: subscribe to the
@@ -219,7 +236,9 @@ let park_on_ull t sandbox =
       let hs =
         {
           Sandbox.merge_vcpus;
-          plan = Psm.Plan.create merge_vcpus;
+          plan =
+            Psm.Plan.create ~capacity:(Sandbox.vcpu_count sandbox)
+              merge_vcpus;
           precomputed = precomputed t (Sandbox.vcpu_count sandbox);
           ull_queue;
           subscription;
@@ -265,9 +284,10 @@ let pause t ~strategy sandbox =
       (float_of_int n *. c.Cost_model.pause_sort_vcpu_ns)
       +. c.Cost_model.coalesce_precompute_ns
   in
-  Sandbox.set_pause_strategy sandbox (Some strategy);
+  let code = Sandbox.strategy_code strategy in
+  Sandbox.set_pause_strategy sandbox some_strategy.(code);
   Sandbox.set_state sandbox Sandbox.Paused;
-  let cnt = t.pauses_c.(Sandbox.strategy_code strategy) in
+  let cnt = t.pauses_c.(code) in
   cnt := !cnt + 1;
   if Horse_sim.Logging.debug_on log_src then
     Log.debug (fun m ->
@@ -335,7 +355,7 @@ let resume t sandbox =
       Sandbox.set_placements sandbox placements;
       List.iter
         (fun { Sandbox.queue; _ } ->
-          Load_tracking.on_enqueue (Runqueue.load queue);
+          Runqueue.track_enqueue queue;
           Load_tracking.on_enqueue (Scheduler.global_load t.scheduler))
         placements;
       (merge_ns, vanilla_load_ns, 0)
@@ -352,8 +372,7 @@ let resume t sandbox =
                  (fun { Sandbox.queue = q; _ } -> Runqueue.id q = Runqueue.id queue)
                  placements)
           in
-          Load_tracking.on_enqueue_coalesced (Runqueue.load queue)
-            (precomputed t k))
+          Runqueue.track_enqueue_coalesced queue (precomputed t k))
         (distinct_queues placements);
       (* the lock-protected global variable: a single coalesced write *)
       (match Sandbox.coal_precomputed sandbox with
@@ -385,18 +404,18 @@ let resume t sandbox =
           c.Cost_model.psm_thread_wake_ns +. c.Cost_model.psm_splice_ns
           +. c.Cost_model.horse_bookkeeping_ns
         in
-        let load_tracker = Runqueue.load hs.Sandbox.ull_queue in
+        let ull_queue = hs.Sandbox.ull_queue in
         let load_ns =
           match strategy with
           | Sandbox.Horse ->
             let pre = hs.Sandbox.precomputed in
-            Load_tracking.on_enqueue_coalesced load_tracker pre;
+            Runqueue.track_enqueue_coalesced ull_queue pre;
             Load_tracking.on_enqueue_coalesced
               (Scheduler.global_load t.scheduler) pre;
             c.Cost_model.coalesce_apply_ns
           | Sandbox.Ppsm | Sandbox.Vanilla | Sandbox.Coal ->
             for _ = 1 to n do
-              Load_tracking.on_enqueue load_tracker;
+              Runqueue.track_enqueue ull_queue;
               Load_tracking.on_enqueue (Scheduler.global_load t.scheduler)
             done;
             vanilla_load_ns

@@ -327,6 +327,28 @@ let test_plan_merge_equal_values () =
     "target first among equals" [ "b"; "a1"; "a2" ]
     (List.map snd (Al.to_list b))
 
+(* A plan sized below its segment count grows in place: capacity 1,
+   three source elements that land in three segments. *)
+let test_plan_capacity_grows () =
+  let arena = Al.create_arena ~compare:icmp () in
+  let a = Al.of_sorted_list arena [ 2; 4; 6 ]
+  and b = Al.of_sorted_list arena [ 1; 3; 5 ] in
+  let idx = Psm.Index.build b in
+  let plan = Psm.Plan.create ~capacity:1 a in
+  Psm.Plan.refill plan ~index:idx;
+  let expected = Psm.Plan.build ~source:a ~index:idx in
+  Alcotest.(check int) "three segments" 3 (Psm.Plan.key_count plan);
+  Alcotest.(check (pair (array int) (array int)))
+    "same keys and counts as build"
+    (Psm.Plan.keys_counts expected)
+    (Psm.Plan.keys_counts plan);
+  let stats = Psm.Plan.execute plan ~index:idx ~source:a in
+  check_list "merged" [ 1; 2; 3; 4; 5; 6 ] (Al.to_list b);
+  Alcotest.(check int) "threads" 3 stats.Psm.Plan.threads;
+  Alcotest.check_raises "negative capacity"
+    (Invalid_argument "Psm.Plan.create: negative capacity") (fun () ->
+      ignore (Psm.Plan.create ~capacity:(-1) a))
+
 let test_plan_binary_matches_linear () =
   let merged_lin, _, _, s1 = run_merge [ 1; 5; 9 ] [ 2; 4; 6; 8 ] in
   let merged_bin, _, _, s2 = run_merge ~binary:true [ 1; 5; 9 ] [ 2; 4; 6; 8 ] in
@@ -877,6 +899,7 @@ let () =
           Alcotest.test_case "equal values" `Quick test_plan_merge_equal_values;
           Alcotest.test_case "binary == linear" `Quick
             test_plan_binary_matches_linear;
+          Alcotest.test_case "capacity 1 grows" `Quick test_plan_capacity_grows;
           Alcotest.test_case "parallel merge" `Quick test_plan_parallel_merge;
           Alcotest.test_case "stale on unseen change" `Quick
             test_plan_stale_on_unseen_target_change;

@@ -434,7 +434,7 @@ let test_scheduler_select_normal_spreads () =
   let s = Scheduler.create ~topology:small_topology () in
   let q1 = Scheduler.select_normal s in
   ignore (Runqueue.enqueue q1 (mk_vcpu ()));
-  Horse_sched.Load_tracking.on_enqueue (Runqueue.load q1);
+  Runqueue.track_enqueue q1;
   let q2 = Scheduler.select_normal s in
   Alcotest.(check bool) "avoids loaded queue" true
     (Runqueue.id q1 <> Runqueue.id q2);
@@ -477,12 +477,167 @@ let test_scheduler_add_ull () =
   Alcotest.(check bool) "converted" true (Runqueue.is_ull q);
   Alcotest.(check int) "highest free id picked" 6 (Runqueue.id q)
 
+(* A reserved queue leaves the pick even when it is the least loaded,
+   and comes back when it turns normal again. *)
+let test_scheduler_reserved_leaves_pick () =
+  let s = Scheduler.create ~topology:small_topology () in
+  for cpu = 0 to 5 do
+    let q = Scheduler.runqueue s ~cpu in
+    ignore (Runqueue.enqueue q (mk_vcpu ~sandbox:cpu ()));
+    Runqueue.track_enqueue q
+  done;
+  Alcotest.(check int) "the idle queue" 6
+    (Runqueue.cpu (Scheduler.select_normal s));
+  let q = Scheduler.add_ull_runqueue s in
+  Alcotest.(check bool) "reserved: not picked" false
+    (Scheduler.select_normal s == q);
+  Runqueue.set_kind q Runqueue.Normal;
+  Alcotest.(check bool) "normal again: picked" true
+    (Scheduler.select_normal s == q)
+
 let test_scheduler_total_queued () =
   let s = Scheduler.create ~topology:small_topology () in
   Alcotest.(check int) "empty" 0 (Scheduler.total_queued s);
   ignore (Runqueue.enqueue (Scheduler.runqueue s ~cpu:0) (mk_vcpu ()));
   ignore (Runqueue.enqueue (Scheduler.runqueue s ~cpu:1) (mk_vcpu ~index:1 ()));
   Alcotest.(check int) "two" 2 (Scheduler.total_queued s)
+
+(* The linear scan [select_normal] replaced: the first queue, in CPU
+   order, that no later queue strictly beats on (tracked load,
+   length).  The argmin tree must give the very same queue. *)
+let scan_select_normal s =
+  let better q best =
+    let lq = Runqueue.load q and lb = Runqueue.load best in
+    if lq < lb then true
+    else if lq > lb then false
+    else Runqueue.length q < Runqueue.length best
+  in
+  Array.fold_left
+    (fun acc q ->
+      if Runqueue.is_ull q then acc
+      else
+        match acc with
+        | None -> Some q
+        | Some b -> if better q b then Some q else acc)
+    None (Scheduler.runqueues s)
+
+module Placement = struct
+  type op =
+    | Enqueue of int * int  (** cpu, credit *)
+    | Place of int  (** a boot's step: enqueue on the pick, then load *)
+    | Dequeue of int  (** the k-th live vCPU, modulo *)
+    | Pop of int  (** cpu *)
+    | Track of int  (** cpu: vanilla load update *)
+    | Track_coalesced of int * int  (** cpu, vCPUs covered *)
+    | Track_dequeue of int  (** cpu *)
+    | Add_ull
+
+  let show = function
+    | Enqueue (cpu, credit) -> Printf.sprintf "enqueue cpu%d c%d" cpu credit
+    | Place credit -> Printf.sprintf "place c%d" credit
+    | Dequeue k -> Printf.sprintf "dequeue #%d" k
+    | Pop cpu -> Printf.sprintf "pop cpu%d" cpu
+    | Track cpu -> Printf.sprintf "track cpu%d" cpu
+    | Track_coalesced (cpu, n) -> Printf.sprintf "track cpu%d x%d" cpu n
+    | Track_dequeue cpu -> Printf.sprintf "shed cpu%d" cpu
+    | Add_ull -> "add_ull"
+
+  let cpus = Topology.cpu_count Topology.r650_smt
+
+  (* Half the draws hit the first 8 CPUs, so queues interact and ties
+     on (load, length) keep coming up; the rest spread over all 144. *)
+  let gen_cpu st =
+    if Random.State.bool st then Random.State.int st 8
+    else Random.State.int st cpus
+
+  let gen st =
+    let credit () = Random.State.int st 4 * 100 in
+    match Random.State.int st 9 with
+    | 0 -> Enqueue (gen_cpu st, credit ())
+    | 1 | 2 -> Place (credit ())
+    | 3 -> Dequeue (Random.State.int st 1000)
+    | 4 -> Pop (gen_cpu st)
+    | 5 -> Track (gen_cpu st)
+    | 6 -> Track_coalesced (gen_cpu st, 1 + Random.State.int st 4)
+    | 7 -> Track_dequeue (gen_cpu st)
+    | _ -> Add_ull
+end
+
+let placement_spec =
+  {
+    Harness.name = "select_normal vs the scan";
+    gen = Placement.gen;
+    show = Placement.show;
+    make =
+      (fun () ->
+        let s =
+          Scheduler.create ~ull_count:16 ~topology:Topology.r650_smt ()
+        in
+        let live = ref [] and next = ref 0 in
+        let vcpu credit =
+          incr next;
+          mk_vcpu ~sandbox:!next ~credit ()
+        in
+        let enqueue q v =
+          let h, _ = Runqueue.enqueue q v in
+          live := (q, h, v) :: !live
+        in
+        let q cpu = Scheduler.runqueue s ~cpu in
+        fun op ->
+          (match (op : Placement.op) with
+          | Enqueue (cpu, credit) -> enqueue (q cpu) (vcpu credit)
+          | Place credit ->
+            let target = Scheduler.select_normal s in
+            enqueue target (vcpu credit);
+            Runqueue.track_enqueue target
+          | Dequeue k -> (
+            match !live with
+            | [] -> ()
+            | l ->
+              let ((q, h, _) as e) = List.nth l (k mod List.length l) in
+              ignore (Runqueue.dequeue q h);
+              live := List.filter (fun e' -> e' != e) l)
+          | Pop cpu -> (
+            match Runqueue.pop_front (q cpu) with
+            | None -> ()
+            | Some v -> live := List.filter (fun (_, _, v') -> v' != v) !live)
+          | Track cpu -> Runqueue.track_enqueue (q cpu)
+          | Track_coalesced (cpu, n) ->
+            Runqueue.track_enqueue_coalesced (q cpu)
+              (Horse_coalesce.Coalesce.Precomputed.make
+                 ~alpha:Horse_coalesce.Coalesce.Affine.pelt.alpha
+                 ~beta:Horse_coalesce.Coalesce.Affine.pelt.beta ~n)
+          | Track_dequeue cpu -> Runqueue.track_dequeue (q cpu)
+          | Add_ull -> (
+            try ignore (Scheduler.add_ull_runqueue s)
+            with Invalid_argument _ -> ()));
+          match scan_select_normal s with
+          | None -> Some "the scan found no normal queue"
+          | Some want ->
+            let got = Scheduler.select_normal s in
+            if got == want then None
+            else
+              Some
+                (Printf.sprintf "select_normal gave cpu%d, the scan cpu%d"
+                   (Runqueue.cpu got) (Runqueue.cpu want)));
+  }
+
+let test_select_normal_matches_scan () = Harness.check placement_spec
+
+let test_select_normal_allocates_nothing () =
+  let s = Scheduler.create ~ull_count:16 ~topology:Topology.r650_smt () in
+  for i = 1 to 200 do
+    let q = Scheduler.select_normal s in
+    ignore (Runqueue.enqueue q (mk_vcpu ~sandbox:i ()));
+    Runqueue.track_enqueue q
+  done;
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Scheduler.select_normal s))
+  done;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 (w2 -. w1 -. (w1 -. w0))
 
 (* ------------------------------------------------------------------ *)
 (* CPU executor                                                        *)
@@ -873,6 +1028,12 @@ let () =
           Alcotest.test_case "detach guard" `Quick test_scheduler_detach_guard;
           Alcotest.test_case "add ull queue" `Quick test_scheduler_add_ull;
           Alcotest.test_case "total queued" `Quick test_scheduler_total_queued;
+          Alcotest.test_case "reserved queue leaves the pick" `Quick
+            test_scheduler_reserved_leaves_pick;
+          Alcotest.test_case "select_normal == scan under churn" `Quick
+            test_select_normal_matches_scan;
+          Alcotest.test_case "select_normal allocates nothing" `Quick
+            test_select_normal_allocates_nothing;
         ] );
       ("properties", props);
     ]

@@ -319,8 +319,9 @@ let test_memory_footprint_while_paused () =
    allocates is the resume's result and placement bookkeeping, pinned
    here exactly for a 4-vCPU sandbox (a fresh plan and list per cycle
    would add about 60 words).  A second paused sandbox keeps the queue
-   subscribed. *)
-let cycle_words = 120.0
+   subscribed.  The pause records its strategy in a preallocated
+   option and the load updates write their floats in place. *)
+let cycle_words = 108.0
 
 let test_steady_cycle_allocates_no_plan () =
   let vmm, _, _ = fresh () in
@@ -345,6 +346,35 @@ let test_steady_cycle_allocates_no_plan () =
     ((w2 -. w1 -. (w1 -. w0)) /. 100.0);
   Alcotest.(check bool) "the same list and plan" true
     (Option.get (Sandbox.horse_state sb) == hs)
+
+(* Provisioning a parked fleet: create, boot (two normal-queue picks)
+   and HORSE-pause 2-vCPU sandboxes on one 144-CPU VMM.  Measured at
+   146.6 words per sandbox (144.6 in the release profile); the bound
+   is 15% above.  A placement that allocates per pick, or a plan sized
+   past the vCPU count, breaks it (the linear-scan pick and 8-segment
+   plans cost 197.6). *)
+let provision_words_bound = 169.0
+
+let test_provision_allocation_bound () =
+  let scheduler =
+    Scheduler.create ~ull_count:16 ~topology:Topology.r650_smt ()
+  in
+  let vmm =
+    Vmm.create ~scheduler ~metrics:(Metrics.create ()) ()
+  in
+  let n = 4_096 in
+  let w0 = Gc.minor_words () in
+  for id = 1 to n do
+    let sb = mk_sandbox ~id ~vcpus:2 () in
+    ignore (Vmm.boot vmm sb);
+    ignore (Vmm.pause vmm ~strategy:Sandbox.Horse sb)
+  done;
+  let per_sandbox = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "provision: %.1f words/sandbox <= %.0f" per_sandbox
+       provision_words_bound)
+    true
+    (per_sandbox <= provision_words_bound)
 
 let test_stop_releases_everything () =
   let vmm, scheduler, _ = fresh () in
@@ -604,6 +634,8 @@ let () =
             test_memory_footprint_while_paused;
           Alcotest.test_case "steady cycle allocates no plan" `Quick
             test_steady_cycle_allocates_no_plan;
+          Alcotest.test_case "provision allocation bound" `Quick
+            test_provision_allocation_bound;
         ] );
       ( "boot",
         [
